@@ -74,7 +74,7 @@ from .families import (
     x_state_p_bounds,
     x_state_steerable,
 )
-from .kernels import DEFAULT_BACKEND, HAVE_NUMBA, get_backend
+from .kernels import DEFAULT_BACKEND, HAVE_NUMBA
 from .oracle import (
     Assemblage,
     OracleVerdict,

@@ -10,7 +10,9 @@ Subcommands:
                   in-plane triangle oracle
 
 Exit codes: 0 success, 1 file or argument errors, 2 unphysical state,
-3 no usable sphere contact. All output is deterministic for fixed inputs.
+3 the scenario does not apply (no single sphere contact, a zero-volume
+ellipsoid, a pure Alice marginal, or b at the contact point). All output is
+deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -24,7 +26,13 @@ import numpy as np
 
 from . import criteria, families, oracle, sampling
 from .ellipsoid import SINGLE_TANGENT, plane_section, steering_ellipsoid, tangency
-from .errors import NonPhysical, NoTangency, SteerellError
+from .errors import (
+    DegenerateEllipsoid,
+    InvalidReducedState,
+    NonPhysical,
+    NoTangency,
+    SteerellError,
+)
 from .paulicore import state_from_json_dict, state_to_json_dict
 from .tolerances import BOUNDARY_BAND
 
@@ -122,13 +130,7 @@ def cmd_analyze(args):
     payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
     locus = criteria.locus_of_h(ell, b, n_planes=args.planes, p=p)
     margins = np.array([v.margin for v in locus.verdicts])
-    classification = (
-        criteria.ALL_INSIDE
-        if np.all(margins > 0.0)
-        else criteria.ALL_OUTSIDE
-        if np.all(margins <= 0.0)
-        else criteria.CROSSING
-    )
+    classification = criteria.classify_margins(margins)
     margin_max = float(margins.max())
     margin_min = float(margins.min())
     bounds_ell = criteria.p_bounds(ell, p=p, resolution=(args.planes, 2 * args.planes))
@@ -446,7 +448,7 @@ def main(argv=None):
     except NonPhysical as exc:
         sys.stderr.write(f"error: unphysical state: {exc}\n")
         return EXIT_NONPHYSICAL
-    except NoTangency as exc:
+    except (NoTangency, DegenerateEllipsoid, InvalidReducedState) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_TANGENCY
     except SteerellError as exc:

@@ -17,6 +17,7 @@ p > p_max is sufficient and p > p_min necessary for steerability.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,13 @@ def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) ->
     (steerable everywhere); margins of exactly zero count as outside.
     """
     locus = locus_of_h(ell, b, n_planes=n_planes, p=p)
-    margins = np.array([v.margin for v in locus.verdicts])
+    return classify_margins([v.margin for v in locus.verdicts])
+
+
+def classify_margins(margins) -> str:
+    """AllInside when every margin is positive, AllOutside when none is,
+    Crossing otherwise; margins of exactly zero count as outside."""
+    margins = np.asarray(margins, dtype=float)
     if np.all(margins > 0.0):
         return ALL_INSIDE
     if np.all(margins <= 0.0):
@@ -214,51 +221,13 @@ def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) ->
     return CROSSING
 
 
-def _plane_bounds_scalar(al, be, ga, radius):
-    """Per-plane extremal thresholds and their slopes (k may be +-inf)."""
-    if abs(be) > 1e-12:
-        s = np.sqrt(al * al + be * be)
-        den = 1.0 - radius * (1.0 + ga) * (2.0 * al + radius * be * be * (1.0 + ga))
-        num = 1.0 - ga - radius * radius * be * be * (1.0 + ga) - radius * al * (2.0 - ga * ga)
-        k_max = (-al - s) / be
-        k_min = (-al + s) / be
-        return (num - radius * ga * ga * s) / den, (num + radius * ga * ga * s) / den, k_min, k_max
-    p0 = (1.0 - ga - 2.0 * radius * al) / (1.0 - 2.0 * radius * al * (1.0 + ga))
-    lim = 1.0 - ga
-    if al > 1e-12:
-        return p0, lim, 0.0, np.inf
-    if al < -1e-12:
-        return lim, p0, np.inf, 0.0
-    return lim, lim, 0.0, np.inf
-
-
 def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     """Extremal steerability thresholds over all chord slopes of one plane."""
     if section.degenerate:
         raise DegeneratePlane("section ellipse is collapsed")
     hom = homology(section.m, section.n, section.delta, section.R, check=False)
-    lo, hi, k_min, k_max = _plane_bounds_scalar(hom.alpha, hom.beta, hom.gamma, hom.R)
-    return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=k_min, k_at_max=k_max)
-
-
-def _section_abc(ell, p, normal):
-    """(alpha, beta, gamma, R) of one plane without the eigen decomposition."""
-    minv = ell.inverse_shape_matrix()
-    normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
-    d = float(normal @ p)
-    r2 = 1.0 - d * d
-    if r2 <= 1e-12:
-        return None
-    radius = np.sqrt(r2)
-    u = (d * normal - p) / radius
-    v = np.cross(normal, u)
-    g = minv @ (p - ell.centre)
-    avv = v @ minv @ v
-    al = 0.5 * (1.0 - (u @ minv @ u) / avv) / radius
-    be = -((u @ minv @ v) / avv) / radius
-    ga = -((u @ g) / avv) / radius
-    return al, be, ga, radius, u, v
+    lo, hi, k_min, k_max = kernels.plane_bounds(hom.alpha, hom.beta, hom.gamma, hom.R)
+    return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
 
 
 def _golden_minimize(fun, lo, hi, tol=1e-10):
@@ -281,8 +250,8 @@ def _golden_minimize(fun, lo, hi, tol=1e-10):
 
 
 def _normal_from_angles(theta, phi):
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
 def p_bounds(
@@ -292,7 +261,6 @@ def p_bounds(
     b=None,
     resolution: tuple[int, int] = (180, 360),
     refine: bool = True,
-    backend: str | None = None,
 ) -> ProbBounds:
     """Global probability bounds over plane scans.
 
@@ -308,6 +276,8 @@ def p_bounds(
     """
     p = _resolve_contact(ell, p)
     minv = ell.inverse_shape_matrix()
+    # the refinement evaluates one plane at a time, on Python floats
+    minv_f, g_f, p_f = minv.tolist(), (minv @ (p - ell.centre)).tolist(), p.tolist()
     if b is None:
         n_theta, n_phi = resolution
         thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
@@ -316,7 +286,7 @@ def p_bounds(
         normals = np.stack(
             [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
         ).reshape(-1, 3)
-        lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals, backend=backend)
+        lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
         lo = np.where(valid, lo, np.inf)
         hi = np.where(valid, hi, -np.inf)
         imin = int(np.argmin(lo))
@@ -328,13 +298,15 @@ def p_bounds(
             dth, dph = np.pi / n_theta, 2.0 * np.pi / n_phi
 
             def plane_value(theta, phi, which):
-                out = _section_abc(ell, p, _normal_from_angles(theta, phi))
+                al, be, ga, radius, _, _, ok = kernels.reduce_planes(
+                    minv_f, g_f, p_f, *_normal_from_angles(theta, phi)
+                )
                 # reject nearly tangent planes: the conic reduction noise
                 # grows like eps/R^2 and fakes extrema below this radius
-                if out is None or out[3] < 5e-3:
+                if not ok or radius < 5e-3:
                     return np.inf
-                lo_s, hi_s, _, _ = _plane_bounds_scalar(*out[:4])
-                return lo_s if which == 0 else -hi_s
+                lo_s, hi_s, _, _ = kernels.plane_bounds(al, be, ga, radius)
+                return float(lo_s) if which == 0 else -float(hi_s)
 
             for which, idx in ((0, imin), (1, imax)):
                 th0, ph0 = tt.reshape(-1)[idx], pp.reshape(-1)[idx]
@@ -347,9 +319,9 @@ def p_bounds(
                     )
                 val = plane_value(th0, ph0, which)
                 if which == 0 and val < p_min:
-                    p_min, arg_min = float(val), _normal_from_angles(th0, ph0)
+                    p_min, arg_min = float(val), np.array(_normal_from_angles(th0, ph0))
                 elif which == 1 and -val > p_max:
-                    p_max, arg_max = float(-val), _normal_from_angles(th0, ph0)
+                    p_max, arg_max = float(-val), np.array(_normal_from_angles(th0, ph0))
         mode = "ellipsoid"
         n_planes = int(valid.sum())
     else:
@@ -357,29 +329,21 @@ def p_bounds(
         _, e1, e2 = _pencil_frame(p, b)
         n_t = max(resolution)
         ts = np.linspace(0.0, np.pi, n_t, endpoint=False)
-        thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts, backend=backend)
+        thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
         tl = np.where(valid, thresh, np.inf)
         th = np.where(valid, thresh, -np.inf)
         imin = int(np.argmin(tl))
         imax = int(np.argmax(th))
         p_min, p_max = float(tl[imin]), float(th[imax])
+        e1_f, e2_f, db_f = e1.tolist(), e2.tolist(), (b - p).tolist()
 
         def pencil_value(t, sign):
-            nrm = np.cos(t) * e1 + np.sin(t) * e2
-            out = _section_abc(ell, p, nrm)
-            if out is None:
+            nrm = kernels.pencil_normals(e1_f, e2_f, t)
+            al, be, ga, radius, u, v, ok = kernels.reduce_planes(minv_f, g_f, p_f, *nrm)
+            if not ok:
                 return np.inf
-            al, be, ga, radius, u, v = out
-            ub = (b - p) @ u
-            vb = (b - p) @ v
-            if ub <= 1e-12:
-                return np.inf
-            k = vb / ub
-            sig = al + k * be
-            val = ((1.0 + k * k) * (1.0 - ga) - 2.0 * radius * sig) / (
-                1.0 + k * k - 2.0 * radius * (1.0 + ga) * sig
-            )
-            return sign * val
+            val, ok = kernels.pencil_threshold(al, be, ga, radius, u, v, db_f)
+            return sign * float(val) if ok else np.inf
 
         if refine:
             dt = np.pi / n_t

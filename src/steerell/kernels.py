@@ -1,9 +1,12 @@
-"""Hot numeric kernels with a numba path and a vectorized numpy path.
+"""Per-plane formulas and the vectorized kernels built on them.
 
-The backend is selected by the STEERELL_BACKEND environment variable:
-"numba" (require numba), "numpy" (force the vectorized fallback) or "auto"
-(default; numba when importable). Every public kernel also accepts an explicit
-backend argument so both paths can be exercised side by side.
+Each formula has one implementation, written component-wise so that the same
+code takes arrays of planes (the scans) and Python floats (the golden-section
+refinement in `criteria.p_bounds`):
+
+  reduce_planes     plane normals -> (alpha, beta, gamma, R, u, v, valid)
+  plane_bounds      per-plane extremal thresholds and the slopes attaining them
+  pencil_threshold  per-plane threshold at the chord slope of b
 
 Kernels:
   scan_bounds     per-plane probability bounds over a grid of plane normals
@@ -12,54 +15,19 @@ Kernels:
 """
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_BACKEND = os.environ.get("STEERELL_BACKEND", "auto").lower()
-if _ENV_BACKEND not in ("auto", "numba", "numpy"):
-    raise ValueError(f"STEERELL_BACKEND must be auto, numba or numpy, got {_ENV_BACKEND!r}")
-if _ENV_BACKEND == "numba" and not HAVE_NUMBA:
-    raise ImportError("STEERELL_BACKEND=numba but numba is not importable")
-
-DEFAULT_BACKEND = "numba" if (HAVE_NUMBA and _ENV_BACKEND != "numpy") else "numpy"
-
-
-def get_backend(backend: str | None = None) -> str:
-    """Resolve a backend name ('numba' or 'numpy')."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    backend = backend.lower()
-    if backend == "auto":
-        return DEFAULT_BACKEND
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
-
+# kept as constants: perfbench records them and compares only runs that agree
+HAVE_NUMBA = False
+DEFAULT_BACKEND = "numpy"
 
 # ---------------------------------------------------------------------------
 # per-plane conic reduction and closed-form bounds
 #
-# For a plane through the contact point p with unit normal nrm the in-plane
-# frame is u = (d nrm - p)/R, v = nrm x u with d = nrm.p, R = sqrt(1 - d^2).
+# For a plane through the contact point p with unit normal n the in-plane
+# frame is u = (d n - p)/R, v = n x u with d = n.p, R = sqrt(1 - d^2).
 # The ellipsoid section conic, normalized to unit v^2 coefficient, yields
 # (alpha, beta, gamma) = (mu, nu, xi)/R and the per-plane extremal
 # probabilities over chord slopes follow in closed form.
@@ -69,219 +37,136 @@ _BETA_EPS = 1e-12
 _R2_EPS = 1e-12
 
 
-@njit(cache=True)
-def _bounds_from_abc(al, be, ga, radius):
-    if abs(be) > _BETA_EPS:
-        s = np.sqrt(al * al + be * be)
-        den = 1.0 - radius * (1.0 + ga) * (2.0 * al + radius * be * be * (1.0 + ga))
-        num = 1.0 - ga - radius * radius * be * be * (1.0 + ga) - radius * al * (2.0 - ga * ga)
-        return (num - radius * ga * ga * s) / den, (num + radius * ga * ga * s) / den
-    p0 = (1.0 - ga - 2.0 * radius * al) / (1.0 - 2.0 * radius * al * (1.0 + ga))
-    lim = 1.0 - ga
-    if al > _BETA_EPS:
-        return p0, lim
-    if al < -_BETA_EPS:
-        return lim, p0
-    return lim, lim
+# The refinement calls the per-plane formulas one plane at a time on Python
+# floats; numpy functions would turn those into numpy scalars, whose
+# arithmetic is several times slower. These two keep floats as floats.
+def _select(cond, a, b):
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
-@njit(cache=True)
-def _scan_bounds_numba(minv, centre, p, normals, pmin, pmax, valid):
-    n_planes = normals.shape[0]
-    gx = minv[0, 0] * (p[0] - centre[0]) + minv[0, 1] * (p[1] - centre[1]) + minv[0, 2] * (p[2] - centre[2])
-    gy = minv[1, 0] * (p[0] - centre[0]) + minv[1, 1] * (p[1] - centre[1]) + minv[1, 2] * (p[2] - centre[2])
-    gz = minv[2, 0] * (p[0] - centre[0]) + minv[2, 1] * (p[1] - centre[1]) + minv[2, 2] * (p[2] - centre[2])
-    for i in range(n_planes):
-        nx, ny, nz = normals[i, 0], normals[i, 1], normals[i, 2]
-        d = nx * p[0] + ny * p[1] + nz * p[2]
-        r2 = 1.0 - d * d
-        if r2 <= _R2_EPS:
-            valid[i] = False
-            pmin[i] = 0.0
-            pmax[i] = 0.0
-            continue
-        radius = np.sqrt(r2)
-        ux = (d * nx - p[0]) / radius
-        uy = (d * ny - p[1]) / radius
-        uz = (d * nz - p[2]) / radius
-        vx = ny * uz - nz * uy
-        vy = nz * ux - nx * uz
-        vz = nx * uy - ny * ux
-        mux = minv[0, 0] * ux + minv[0, 1] * uy + minv[0, 2] * uz
-        muy = minv[1, 0] * ux + minv[1, 1] * uy + minv[1, 2] * uz
-        muz = minv[2, 0] * ux + minv[2, 1] * uy + minv[2, 2] * uz
-        mvx = minv[0, 0] * vx + minv[0, 1] * vy + minv[0, 2] * vz
-        mvy = minv[1, 0] * vx + minv[1, 1] * vy + minv[1, 2] * vz
-        mvz = minv[2, 0] * vx + minv[2, 1] * vy + minv[2, 2] * vz
-        auu = ux * mux + uy * muy + uz * muz
-        auv = ux * mvx + uy * mvy + uz * mvz
-        avv = vx * mvx + vy * mvy + vz * mvz
-        lu = ux * gx + uy * gy + uz * gz
-        al = 0.5 * (1.0 - auu / avv) / radius
-        be = -(auv / avv) / radius
-        ga = -(lu / avv) / radius
-        lo, hi = _bounds_from_abc(al, be, ga, radius)
-        pmin[i] = lo
-        pmax[i] = hi
-        valid[i] = True
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-@njit(cache=True)
-def _scan_pencil_numba(minv, centre, p, b, e1, e2, ts, thresh, valid):
-    n_planes = ts.shape[0]
-    px, py, pz = p[0], p[1], p[2]
-    gx = minv[0, 0] * (px - centre[0]) + minv[0, 1] * (py - centre[1]) + minv[0, 2] * (pz - centre[2])
-    gy = minv[1, 0] * (px - centre[0]) + minv[1, 1] * (py - centre[1]) + minv[1, 2] * (pz - centre[2])
-    gz = minv[2, 0] * (px - centre[0]) + minv[2, 1] * (py - centre[1]) + minv[2, 2] * (pz - centre[2])
-    dbx, dby, dbz = b[0] - px, b[1] - py, b[2] - pz
-    for i in range(n_planes):
-        ct = np.cos(ts[i])
-        st = np.sin(ts[i])
-        nx = ct * e1[0] + st * e2[0]
-        ny = ct * e1[1] + st * e2[1]
-        nz = ct * e1[2] + st * e2[2]
-        d = nx * px + ny * py + nz * pz
-        r2 = 1.0 - d * d
-        if r2 <= _R2_EPS:
-            valid[i] = False
-            thresh[i] = 0.0
-            continue
-        radius = np.sqrt(r2)
-        ux = (d * nx - px) / radius
-        uy = (d * ny - py) / radius
-        uz = (d * nz - pz) / radius
-        vx = ny * uz - nz * uy
-        vy = nz * ux - nx * uz
-        vz = nx * uy - ny * ux
-        mux = minv[0, 0] * ux + minv[0, 1] * uy + minv[0, 2] * uz
-        muy = minv[1, 0] * ux + minv[1, 1] * uy + minv[1, 2] * uz
-        muz = minv[2, 0] * ux + minv[2, 1] * uy + minv[2, 2] * uz
-        mvx = minv[0, 0] * vx + minv[0, 1] * vy + minv[0, 2] * vz
-        mvy = minv[1, 0] * vx + minv[1, 1] * vy + minv[1, 2] * vz
-        mvz = minv[2, 0] * vx + minv[2, 1] * vy + minv[2, 2] * vz
-        auu = ux * mux + uy * muy + uz * muz
-        auv = ux * mvx + uy * mvy + uz * mvz
-        avv = vx * mvx + vy * mvy + vz * mvz
-        lu = ux * gx + uy * gy + uz * gz
-        al = 0.5 * (1.0 - auu / avv) / radius
-        be = -(auv / avv) / radius
-        ga = -(lu / avv) / radius
-        ub = dbx * ux + dby * uy + dbz * uz
-        vb = dbx * vx + dby * vy + dbz * vz
-        if ub <= _R2_EPS:
-            valid[i] = False
-            thresh[i] = 0.0
-            continue
-        k = vb / ub
-        sig = al + k * be
-        thresh[i] = ((1.0 + k * k) * (1.0 - ga) - 2.0 * radius * sig) / (
-            1.0 + k * k - 2.0 * radius * (1.0 + ga) * sig
-        )
-        valid[i] = True
+def reduce_planes(minv, g, p, nx, ny, nz):
+    """(alpha, beta, gamma, R, u, v, valid) of the planes through p with unit
+    normal (nx, ny, nz).
 
-
-def _plane_frames_numpy(p, normals):
-    d = normals @ p
+    `minv` is the ellipsoid's inverse shape matrix and g = minv (p - centre);
+    both and p may be arrays or nested lists of floats. The normal components
+    are floats or arrays of one shape; u and v come back as component triples.
+    Near-tangent planes are invalid and are reduced with R = 1 so that their
+    values stay finite; callers mask them.
+    """
+    d = nx * p[0] + ny * p[1] + nz * p[2]
     r2 = 1.0 - d * d
     valid = r2 > _R2_EPS
-    radius = np.sqrt(np.where(valid, r2, 1.0))
-    u = (d[:, None] * normals - p[None, :]) / radius[:, None]
-    v = np.cross(normals, u)
-    return d, radius, u, v, valid
-
-def _abc_numpy(minv, centre, p, normals):
-    d, radius, u, v, valid = _plane_frames_numpy(p, normals)
-    g = minv @ (p - centre)
-    mu_ = u @ minv
-    mv_ = v @ minv
-    auu = np.einsum("ij,ij->i", mu_, u)
-    auv = np.einsum("ij,ij->i", mu_, v)
-    avv = np.einsum("ij,ij->i", mv_, v)
-    lu = u @ g
+    radius = _sqrt(_select(valid, r2, 1.0))
+    ux = (d * nx - p[0]) / radius
+    uy = (d * ny - p[1]) / radius
+    uz = (d * nz - p[2]) / radius
+    vx = ny * uz - nz * uy
+    vy = nz * ux - nx * uz
+    vz = nx * uy - ny * ux
+    m0, m1, m2 = minv
+    mux = m0[0] * ux + m0[1] * uy + m0[2] * uz
+    muy = m1[0] * ux + m1[1] * uy + m1[2] * uz
+    muz = m2[0] * ux + m2[1] * uy + m2[2] * uz
+    mvx = m0[0] * vx + m0[1] * vy + m0[2] * vz
+    mvy = m1[0] * vx + m1[1] * vy + m1[2] * vz
+    mvz = m2[0] * vx + m2[1] * vy + m2[2] * vz
+    auu = ux * mux + uy * muy + uz * muz
+    auv = ux * mvx + uy * mvy + uz * mvz
+    avv = vx * mvx + vy * mvy + vz * mvz
+    lu = ux * g[0] + uy * g[1] + uz * g[2]
     al = 0.5 * (1.0 - auu / avv) / radius
     be = -(auv / avv) / radius
     ga = -(lu / avv) / radius
-    return al, be, ga, radius, u, v, valid
+    return al, be, ga, radius, (ux, uy, uz), (vx, vy, vz), valid
 
 
-def _bounds_from_abc_numpy(al, be, ga, radius):
-    s = np.sqrt(al * al + be * be)
+def plane_bounds(al, be, ga, radius):
+    """Extremal thresholds of one plane over all chord slopes k.
+
+    Returns (p_min, p_max, k_at_min, k_at_max). With beta != 0 the extremes sit
+    at the two stationary slopes; with beta = 0 the threshold is monotone in
+    k^2, so they sit at k = 0 and at the axis-parallel limit k = inf.
+    """
+    beta_zero = abs(be) <= _BETA_EPS
+    s = _sqrt(al * al + be * be)
     den = 1.0 - radius * (1.0 + ga) * (2.0 * al + radius * be * be * (1.0 + ga))
     num = 1.0 - ga - radius * radius * be * be * (1.0 + ga) - radius * al * (2.0 - ga * ga)
     lo = (num - radius * ga * ga * s) / den
     hi = (num + radius * ga * ga * s) / den
+    be_safe = _select(beta_zero, 1.0, be)
+    k_min = (-al + s) / be_safe
+    k_max = (-al - s) / be_safe
     p0 = (1.0 - ga - 2.0 * radius * al) / (1.0 - 2.0 * radius * al * (1.0 + ga))
     lim = 1.0 - ga
-    beta_zero = np.abs(be) <= _BETA_EPS
-    lo = np.where(beta_zero, np.where(al > _BETA_EPS, p0, lim), lo)
-    hi = np.where(beta_zero, np.where(al < -_BETA_EPS, p0, lim), hi)
-    return lo, hi
+    falls = al < -_BETA_EPS  # threshold at k = 0 above the axis-parallel limit
+    rises = al > _BETA_EPS
+    lo = _select(beta_zero, _select(rises, p0, lim), lo)
+    hi = _select(beta_zero, _select(falls, p0, lim), hi)
+    k_min = _select(beta_zero, _select(falls, np.inf, 0.0), k_min)
+    k_max = _select(beta_zero, _select(falls, 0.0, np.inf), k_max)
+    return lo, hi, k_min, k_max
 
 
-def _scan_bounds_numpy(minv, centre, p, normals):
-    al, be, ga, radius, _, _, valid = _abc_numpy(minv, centre, p, normals)
-    lo, hi = _bounds_from_abc_numpy(al, be, ga, radius)
-    lo = np.where(valid, lo, 0.0)
-    hi = np.where(valid, hi, 0.0)
-    return lo, hi, valid
+def pencil_threshold(al, be, ga, radius, u, v, db):
+    """Threshold p(k_b) of each plane at the chord slope of b, db = b - p.
 
-
-def _scan_pencil_numpy(minv, centre, p, b, e1, e2, ts):
-    normals = np.cos(ts)[:, None] * e1[None, :] + np.sin(ts)[:, None] * e2[None, :]
-    al, be, ga, radius, u, v, valid = _abc_numpy(minv, centre, p, normals)
-    db = b - p
-    ub = u @ db
-    vb = v @ db
-    valid = valid & (ub > _R2_EPS)
-    ub = np.where(valid, ub, 1.0)
-    k = vb / ub
+    Returns (threshold, valid); planes where b is not on the u > 0 side of p
+    are invalid.
+    """
+    ub = db[0] * u[0] + db[1] * u[1] + db[2] * u[2]
+    vb = db[0] * v[0] + db[1] * v[1] + db[2] * v[2]
+    valid = ub > _R2_EPS
+    k = vb / _select(valid, ub, 1.0)
     sig = al + k * be
     thresh = ((1.0 + k * k) * (1.0 - ga) - 2.0 * radius * sig) / (
         1.0 + k * k - 2.0 * radius * (1.0 + ga) * sig
     )
-    return np.where(valid, thresh, 0.0), valid
+    return thresh, valid
 
 
-def scan_bounds(minv, centre, p, normals, backend: str | None = None):
+def pencil_normals(e1, e2, ts):
+    """Components of the normals cos(t) e1 + sin(t) e2."""
+    ct, st = np.cos(ts), np.sin(ts)
+    return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
+
+
+def scan_bounds(minv, centre, p, normals):
     """Per-plane (p_min, p_max, valid) for the planes with the given unit normals.
 
     Planes pass through the contact point p of the ellipsoid (inverse shape
     matrix `minv`, centre `centre`); near-tangent planes come back invalid.
     """
-    normals = np.ascontiguousarray(normals, dtype=float)
-    if get_backend(backend) == "numba":
-        n = normals.shape[0]
-        pmin = np.empty(n)
-        pmax = np.empty(n)
-        valid = np.empty(n, dtype=np.bool_)
-        _scan_bounds_numba(
-            np.ascontiguousarray(minv), np.ascontiguousarray(centre, dtype=float),
-            np.ascontiguousarray(p, dtype=float), normals, pmin, pmax, valid,
-        )
-        return pmin, pmax, valid
-    return _scan_bounds_numpy(minv, centre, p, normals)
+    minv = np.asarray(minv, dtype=float)
+    p = np.asarray(p, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    g = minv @ (p - centre)
+    al, be, ga, radius, _, _, valid = reduce_planes(minv, g, p, *normals.T)
+    lo, hi, _, _ = plane_bounds(al, be, ga, radius)
+    return np.where(valid, lo, 0.0), np.where(valid, hi, 0.0), valid
 
 
-def scan_pencil(minv, centre, p, b, e1, e2, ts, backend: str | None = None):
+def scan_pencil(minv, centre, p, b, e1, e2, ts):
     """Per-plane steerability thresholds p(k_b, b_k) over the pencil of planes
     containing the line through p and b.
 
     The pencil is parametrized by normals cos(t) e1 + sin(t) e2 with (e1, e2)
     orthonormal and orthogonal to b - p.
     """
-    ts = np.ascontiguousarray(ts, dtype=float)
-    if get_backend(backend) == "numba":
-        n = ts.shape[0]
-        thresh = np.empty(n)
-        valid = np.empty(n, dtype=np.bool_)
-        _scan_pencil_numba(
-            np.ascontiguousarray(minv), np.ascontiguousarray(centre, dtype=float),
-            np.ascontiguousarray(p, dtype=float), np.ascontiguousarray(b, dtype=float),
-            np.ascontiguousarray(e1, dtype=float), np.ascontiguousarray(e2, dtype=float),
-            ts, thresh, valid,
-        )
-        return thresh, valid
-    return _scan_pencil_numpy(minv, centre, p, b, e1, e2, ts)
+    minv = np.asarray(minv, dtype=float)
+    p = np.asarray(p, dtype=float)
+    g = minv @ (p - centre)
+    normals = pencil_normals(e1, e2, np.asarray(ts, dtype=float))
+    al, be, ga, radius, u, v, valid = reduce_planes(minv, g, p, *normals)
+    thresh, valid_b = pencil_threshold(al, be, ga, radius, u, v, np.asarray(b, dtype=float) - p)
+    valid = valid & valid_b
+    return np.where(valid, thresh, 0.0), valid
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +181,16 @@ def scan_pencil(minv, centre, p, b, e1, e2, ts, backend: str | None = None):
 _SEG_TOL = 1e-9
 
 
-@njit(cache=True)
-def _triangle_sweep_numba(sp1, c1, sm1, c2, sm0, grid):
-    ex = c2[0] - sm1[0]
-    ey = c2[1] - sm1[1]
-    for i in range(grid):
-        lam2 = i / (grid - 1.0)
-        s2x = sp1[0] + lam2 * (c1[0] - sp1[0])
-        s2y = sp1[1] + lam2 * (c1[1] - sp1[1])
-        dx = sm0[0] - s2x
-        dy = sm0[1] - s2y
-        den = dx * ey - dy * ex
-        if abs(den) < 1e-15:
-            continue
-        qx = sm1[0] - s2x
-        qy = sm1[1] - s2y
-        tsol = (qx * ey - qy * ex) / den
-        lam3 = (qx * dy - qy * dx) / den
-        if tsol < 1.0 - _SEG_TOL:
-            continue
-        if lam3 < -_SEG_TOL or lam3 > 1.0 + _SEG_TOL:
-            continue
-        eps0 = 1.0 - 1.0 / tsol if tsol > 1.0 else 0.0
-        return True, i, lam2, lam3, eps0
-    return False, -1, 0.0, 0.0, 0.0
+def triangle_sweep(sp1, c1, sm1, c2, sm0, grid: int):
+    """Search the section for a triangle (origin, s2, s3) absorbing the assemblage.
 
-
-def _triangle_sweep_numpy(sp1, c1, sm1, c2, sm0, grid):
+    Returns (found, index, lam2, lam3, eps0): lam2 locates s2 on [sp1, c1],
+    lam3 locates s3 on [sm1, c2], eps0 is the weight of s2 in the convex split
+    of sm0 along [s2, s3]. The first admissible grid index is returned.
+    """
+    sp1, c1, sm1, c2, sm0 = (np.asarray(x, dtype=float) for x in (sp1, c1, sm1, c2, sm0))
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     lam2 = np.arange(grid) / (grid - 1.0)
     s2 = sp1[None, :] + lam2[:, None] * (c1 - sp1)[None, :]
     d = sm0[None, :] - s2
@@ -340,19 +208,3 @@ def _triangle_sweep_numpy(sp1, c1, sm1, c2, sm0, grid):
     i = int(np.argmax(ok))
     eps0 = 1.0 - 1.0 / tsol[i] if tsol[i] > 1.0 else 0.0
     return True, i, float(lam2[i]), float(lam3[i]), float(eps0)
-
-
-def triangle_sweep(sp1, c1, sm1, c2, sm0, grid: int, backend: str | None = None):
-    """Search the section for a triangle (origin, s2, s3) absorbing the assemblage.
-
-    Returns (found, index, lam2, lam3, eps0): lam2 locates s2 on [sp1, c1],
-    lam3 locates s3 on [sm1, c2], eps0 is the weight of s2 in the convex split
-    of sm0 along [s2, s3]. The first admissible grid index is returned, so the
-    two backends agree exactly.
-    """
-    args = [np.ascontiguousarray(x, dtype=float) for x in (sp1, c1, sm1, c2, sm0)]
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    if get_backend(backend) == "numba":
-        return _triangle_sweep_numba(*args, grid)
-    return _triangle_sweep_numpy(*args, grid)

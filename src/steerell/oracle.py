@@ -289,7 +289,6 @@ def triangle_search(
     asm: Assemblage,
     *,
     grid: int = 2000,
-    backend: str | None = None,
     tol: float = 1e-9,
 ) -> TriangleSearchResult | None:
     """Brute-force sweep for an explicit local model.
@@ -305,7 +304,7 @@ def triangle_search(
     c1 = _lift_to_circle(asm.s_plus1, r, tol)
     c2 = _lift_to_circle(asm.s_minus1, r, tol)
     found, index, lam2, lam3, eps0 = kernels.triangle_sweep(
-        asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0, grid, backend=backend
+        asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0, grid
     )
     if not found:
         exact = _exact_feasible_lam2(asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0)

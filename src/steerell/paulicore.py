@@ -75,6 +75,11 @@ def _as_vec3(x, name):
     return v
 
 
+def _require_finite(x, name):
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
+
+
 def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
     """Build a state from Pauli data, rejecting non-physical input.
 
@@ -92,6 +97,8 @@ def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
         raise ValueError(f"T must be 3x3, got shape {T.shape}")
+    for name, x in (("a", a), ("b", b), ("T", T)):
+        _require_finite(x, name)
     state = TwoQubitState(a=a, b=b, T=T)
     eigs = np.linalg.eigvalsh(state.density_matrix())
     if eigs[0] < -tol:
@@ -104,6 +111,7 @@ def state_from_density(rho, *, tol: float = TOL_PSD) -> TwoQubitState:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    _require_finite(rho, "density matrix")
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
@@ -169,6 +177,7 @@ def state_from_json_dict(obj: dict, *, tol: float = TOL_PSD) -> TwoQubitState:
         raw = np.asarray(obj["density_matrix"], dtype=float)
         if raw.shape != (4, 4, 2):
             raise ValueError("density_matrix must be a 4x4 array of [re, im] pairs")
+        _require_finite(raw, "density_matrix")
         rho = raw[..., 0] + 1j * raw[..., 1]
         return state_from_density(rho, tol=tol)
     if not {"a", "b", "T"} <= set(obj):

@@ -116,6 +116,35 @@ def test_analyze_degenerate_contact(capsys, bell_file):
     assert "steerable" not in payload
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # product state: the ellipsoid collapses to the point b
+        {"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 0.5], "T": [[0.0] * 3] * 3},
+        # pure Alice marginal: no steering ellipsoid exists
+        {"a": [0.0, 0.0, 1.0], "b": [0.0, 0.0, 0.0], "T": [[0.0] * 3] * 3},
+    ],
+    ids=["product", "pure_alice"],
+)
+def test_valid_state_outside_scenario_exit_code(capsys, tmp_path, obj):
+    code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
+    assert code == 3
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_state_is_usage_error(capsys, tmp_path, bad):
+    pauli = {"a": [bad, 0.0, 0.0], "b": [0.0, 0.0, 0.0], "T": [[0.0] * 3] * 3}
+    density = {"density_matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
+    density["density_matrix"][1][2][0] = bad
+    for obj, field in ((pauli, "a has non-finite"), (density, "density_matrix has non-finite")):
+        code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
+        assert code == 1
+        assert out == ""
+        assert field in err
+
+
 def test_tangency_command_accepts_any_contact(capsys, bell_file):
     code, out, _err = _run(capsys, ["tangency", "--state", bell_file])
     assert code == 0

@@ -15,6 +15,7 @@ from steerell import (
     classify_locus,
     ellipsoid_from_geometry,
     homology,
+    kernels,
     locus_of_h,
     obese_state,
     p_bounds,
@@ -112,6 +113,40 @@ def _plane_threshold(section, b_local):
     return ((1.0 + k * k) * (1.0 - hom.gamma) - 2.0 * hom.R * sig) / (
         1.0 + k * k - 2.0 * hom.R * (1.0 + hom.gamma) * sig
     )
+
+
+@given(seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_shared_reduction_matches_eigen_path(seed):
+    # the component-wise kernels against the independent eigen-decomposition
+    # path plane_section -> homology, plane by plane over one pencil
+    rng = np.random.default_rng(seed)
+    ell, p = sampling.random_tangent_ellipsoid(rng)
+    b = sampling.random_interior_point(rng, ell)
+    d = b - p
+    if np.linalg.norm(d) < 1e-2:
+        return
+    d /= np.linalg.norm(d)
+    e1 = np.cross(d, [1.0, 0.3, 0.2])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    ts = np.linspace(0.0, np.pi, 24, endpoint=False)
+    minv = ell.inverse_shape_matrix()
+    g = minv @ (p - ell.centre)
+    thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
+    for t, thr, ok in zip(ts, thresh, valid):
+        normal = np.cos(t) * e1 + np.sin(t) * e2
+        section = plane_section(ell, p, normal)
+        hom = homology(section.m, section.n, section.delta, section.R, check=False)
+        al, be, ga, radius, _, _, ok_plane = kernels.reduce_planes(minv, g, p, *normal)
+        assert ok_plane
+        np.testing.assert_allclose(
+            [al, be, ga, radius], [hom.alpha, hom.beta, hom.gamma, hom.R], rtol=0, atol=1e-9
+        )
+        b_local = section.to_plane(b)
+        assert ok == (b_local[0] > 1e-12)
+        if ok:
+            assert thr == pytest.approx(_plane_threshold(section, b_local), abs=1e-9)
 
 
 @given(seed=seeds)

@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerell import families, sampling
@@ -44,16 +44,21 @@ def test_semiaxes_sorted_descending():
 
 
 @given(seed=seeds)
+@example(seed=804)  # semiaxes (0.40, 0.056, 8.8e-5): quadric value ~4e-9, distance ~2e-13
 @settings(max_examples=60, deadline=None)
 def test_steered_points_lie_on_surface(seed):
-    # the two steered states of any projective measurement sit on the ellipsoid
+    # the two steered states of any projective measurement sit on the
+    # ellipsoid; the quadric value scales like 1/semiaxis^2 on thin
+    # ellipsoids, so the check is on the first-order distance, as in C9
     rng = np.random.default_rng(seed)
     state = sampling.random_state(rng)
     ell = steering_ellipsoid(state)
+    minv = ell.inverse_shape_matrix()
     for _ in range(5):
         ens = steered_ensemble(state, sampling.random_unit_vector(rng))
         for point in ens.points:
-            assert abs(ell.surface_value(point)) < 1e-9
+            grad = 2.0 * np.linalg.norm(minv @ (point - ell.centre))
+            assert abs(ell.surface_value(point)) / grad < 1e-9
 
 
 def test_degenerate_alice_marginal_rejected():
