@@ -18,7 +18,6 @@ from .criteria import (
     locus_of_h,
     p_bounds,
     p_bounds_in_plane,
-    plane_margin,
     pure_state_probability,
     shrunken_ellipses,
     steerable_in_plane,

@@ -112,24 +112,34 @@ def _ellipsoid_dict(ell):
 
 def cmd_analyze(args):
     state = _load_state(args.state, args.tol)
-    ell = steering_ellipsoid(state)
-    report = tangency(ell)
     payload = {
         "state": state_to_json_dict(state),
         "alice_purity_gap": state.alice_purity_gap(),
-        "ellipsoid": _ellipsoid_dict(ell),
-        "tangency": _tangency_dict(report),
     }
-    if report.status != SINGLE_TANGENT:
-        payload["error"] = f"contact classification is {report.status}; margin analysis needs a single contact point"
+    try:
+        _analyze(state, args, payload)
+    except (NoTangency, DegenerateEllipsoid, InvalidReducedState) as exc:
+        # the scenario does not apply: report what was computed, then exit 3
+        payload["error"] = str(exc)
         _emit(payload, args.out)
-        return EXIT_NO_TANGENCY
+        raise
+    _emit(payload, args.out)
+    return EXIT_OK
+
+
+def _analyze(state, args, payload):
+    ell = steering_ellipsoid(state)
+    payload["ellipsoid"] = _ellipsoid_dict(ell)
+    report = tangency(ell)
+    payload["tangency"] = _tangency_dict(report)
+    if report.status != SINGLE_TANGENT:
+        raise NoTangency(f"contact classification is {report.status}; margin analysis needs a single contact point")
 
     p = report.point
     b = state.b
     payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
     locus = criteria.locus_of_h(ell, b, n_planes=args.planes, p=p)
-    margins = np.array([v.margin for v in locus.verdicts])
+    margins = locus.margins
     classification = criteria.classify_margins(margins)
     margin_max = float(margins.max())
     margin_min = float(margins.min())
@@ -154,8 +164,6 @@ def cmd_analyze(args):
             },
         }
     )
-    _emit(payload, args.out)
-    return EXIT_OK
 
 
 def cmd_tangency(args):
@@ -226,7 +234,7 @@ def _parse_params(pairs):
 def _sweep_row(state, ell, p, b, planes, pencil_bounds):
     p_pure = criteria.pure_state_probability(ell, p, b)
     locus = criteria.locus_of_h(ell, b, n_planes=planes, p=p)
-    margin = float(max(v.margin for v in locus.verdicts))
+    margin = float(locus.margins.max())
     if pencil_bounds:
         bounds = criteria.p_bounds(ell, p=p, b=b, resolution=(planes, planes))
     else:

@@ -27,7 +27,8 @@ from .ellipsoid import (
     SINGLE_TANGENT,
     PlaneSection,
     SteeringEllipsoid,
-    plane_section,
+    check_on_both_surfaces,
+    plane_section,  # noqa: F401  (perfbench/test_perfbench.py reads criteria.plane_section)
     tangency,
 )
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
     BOutsideEllipsoid,
     DegeneratePlane,
     InvalidReducedState,
+    NotOnSurface,
     NoTangency,
 )
 from .projective import Homology, apply, conic_value, homology, tangent_ellipse_conic
@@ -73,8 +75,8 @@ class LocusResult:
     """Locus of h over the pencil of planes through the line p b."""
 
     points: np.ndarray  # (n, 3) h points in 3d (nan rows where h is at infinity)
-    verdicts: list
-    normals: np.ndarray
+    margins: np.ndarray  # (n,) signed margin of b in each plane
+    normals: np.ndarray  # (n, 3)
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,6 @@ class ProbBounds:
     argmin_normal: np.ndarray
     argmax_normal: np.ndarray
     n_planes: int
-
-
-def plane_margin(hom: Homology, b_local) -> float:
-    """Signed steerability margin of b in the plane described by `hom`."""
-    ub, vb = float(b_local[0]), float(b_local[1])
-    al, be, ga, radius = hom.alpha, hom.beta, hom.gamma, hom.R
-    return (
-        2.0 * radius * (ga * ga + be * (1.0 + ga) * vb) * ub
-        - (1.0 - 2.0 * radius * al * (1.0 + ga)) * ub * ub
-        - vb * vb
-    )
 
 
 def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY_BAND) -> PlaneVerdict:
@@ -114,7 +105,7 @@ def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY
     val = conic_value(e_conic, b_local)
     if val > TOL_GEOM:
         raise InvalidReducedState(f"b is outside the section ellipse (conic value {val:.3e})")
-    margin = plane_margin(hom, b_local)
+    margin = kernels.plane_margin(hom.alpha, hom.beta, hom.gamma, hom.R, float(b_local[0]), float(b_local[1]))
     try:
         h_local = apply(hom, b_local)
     except AtInfinity:
@@ -156,9 +147,9 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b, *, tol: float = TOL_GEO
     return float(1.0 - length / t_far)
 
 
-def _pencil_frame(p, b, tol=TOL_GEOM):
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _pencil(p, b, n_planes, tol=TOL_GEOM):
+    """Frame (e1, e2) orthogonal to b - p and the angles t of the n_planes
+    pencil planes with normals cos(t) e1 + sin(t) e2."""
     d = b - p
     length = np.linalg.norm(d)
     if length <= tol:
@@ -170,7 +161,7 @@ def _pencil_frame(p, b, tol=TOL_GEOM):
     e1 = np.cross(direction, seed)
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(direction, e1)
-    return direction, e1, e2
+    return e1, e2, np.linspace(0.0, np.pi, n_planes, endpoint=False)
 
 
 def _resolve_contact(ell: SteeringEllipsoid, p):
@@ -183,21 +174,43 @@ def _resolve_contact(ell: SteeringEllipsoid, p):
 
 
 def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> LocusResult:
-    """h points and per-plane verdicts over the pencil of planes through p and b."""
+    """h points and margins of b over the pencil of planes through p and b.
+
+    All planes are reduced in one array pass: each plane's homology column
+    (alpha, beta, gamma) and in-plane frame (u, v) come from
+    `kernels.reduce_planes`, b's in-plane coordinates are (b - p).u and
+    (b - p).v, and h = (u_b, v_b) / (alpha u_b + beta v_b + gamma). Rows
+    where h maps to the line at infinity stay NaN.
+
+    Raises NotOnSurface unless p is the contact point, InvalidReducedState
+    when b is at p or outside the ellipsoid.
+    """
     p = _resolve_contact(ell, p)
     b = np.asarray(b, dtype=float)
-    _, e1, e2 = _pencil_frame(p, b)
-    ts = np.linspace(0.0, np.pi, n_planes, endpoint=False)
-    points = np.full((n_planes, 3), np.nan)
-    verdicts = []
-    normals = np.cos(ts)[:, None] * e1[None, :] + np.sin(ts)[:, None] * e2[None, :]
-    for i in range(n_planes):
-        section = plane_section(ell, p, normals[i])
-        verdict = steerable_in_plane(section, section.to_plane(b))
-        verdicts.append(verdict)
-        if verdict.h_local is not None:
-            points[i] = section.from_plane(verdict.h_local)
-    return LocusResult(points=points, verdicts=verdicts, normals=normals)
+    e1, e2, ts = _pencil(p, b, n_planes)
+    check_on_both_surfaces(ell, p)
+    minv = ell.inverse_shape_matrix()
+    g = minv @ (p - ell.centre)
+    # every pencil section is tangent to its v axis at p only if the
+    # ellipsoid normal at p is along p
+    if np.linalg.norm(np.cross(g, p)) > 1e-6 * np.linalg.norm(g):
+        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    if ell.surface_value(b) > TOL_GEOM:
+        raise InvalidReducedState(f"b is outside the ellipsoid (value {ell.surface_value(b):.3e})")
+    normals = kernels.pencil_normals(e1, e2, ts)
+    al, be, ga, radius, u, v, valid = kernels.reduce_planes(minv, g, p, *normals)
+    if not valid.all():
+        # such a plane has normal +-p, which puts b on the tangent plane at p
+        raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
+    d = b - p
+    ub = d[0] * u[0] + d[1] * u[1] + d[2] * u[2]
+    vb = d[0] * v[0] + d[1] * v[1] + d[2] * v[2]
+    margins = kernels.plane_margin(al, be, ga, radius, ub, vb)
+    den = al * ub + be * vb + ga
+    scale = 1.0 / np.where(np.abs(den) < 1e-12, np.nan, den)
+    hu, hv = ub * scale, vb * scale
+    points = np.stack([p[k] + hu * u[k] + hv * v[k] for k in range(3)], axis=-1)
+    return LocusResult(points=points, margins=margins, normals=np.stack(normals, axis=-1))
 
 
 def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> str:
@@ -207,7 +220,7 @@ def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) ->
     (steerable everywhere); margins of exactly zero count as outside.
     """
     locus = locus_of_h(ell, b, n_planes=n_planes, p=p)
-    return classify_margins([v.margin for v in locus.verdicts])
+    return classify_margins(locus.margins)
 
 
 def classify_margins(margins) -> str:
@@ -282,10 +295,12 @@ def p_bounds(
         n_theta, n_phi = resolution
         thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
         phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        normals = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
+        sin_t = np.sin(thetas)[:, None]
+        normals = np.empty((n_theta, n_phi, 3))
+        normals[..., 0] = sin_t * np.cos(phis)
+        normals[..., 1] = sin_t * np.sin(phis)
+        normals[..., 2] = np.cos(thetas)[:, None]
+        normals = normals.reshape(-1, 3)
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
         lo = np.where(valid, lo, np.inf)
         hi = np.where(valid, hi, -np.inf)
@@ -309,7 +324,7 @@ def p_bounds(
                 return float(lo_s) if which == 0 else -float(hi_s)
 
             for which, idx in ((0, imin), (1, imax)):
-                th0, ph0 = tt.reshape(-1)[idx], pp.reshape(-1)[idx]
+                th0, ph0 = thetas[idx // n_phi], phis[idx % n_phi]
                 for _ in range(3):
                     th0, _v = _golden_minimize(
                         lambda t: plane_value(t, ph0, which), th0 - dth, th0 + dth
@@ -326,9 +341,8 @@ def p_bounds(
         n_planes = int(valid.sum())
     else:
         b = np.asarray(b, dtype=float)
-        _, e1, e2 = _pencil_frame(p, b)
         n_t = max(resolution)
-        ts = np.linspace(0.0, np.pi, n_t, endpoint=False)
+        e1, e2, ts = _pencil(p, b, n_t)
         thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
         tl = np.where(valid, thresh, np.inf)
         th = np.where(valid, thresh, -np.inf)
@@ -361,8 +375,8 @@ def p_bounds(
                 imax_t = ts[imax]
         else:
             imin_t, imax_t = ts[imin], ts[imax]
-        arg_min = np.cos(imin_t) * e1 + np.sin(imin_t) * e2
-        arg_max = np.cos(imax_t) * e1 + np.sin(imax_t) * e2
+        arg_min = np.array(kernels.pencil_normals(e1, e2, imin_t))
+        arg_max = np.array(kernels.pencil_normals(e1, e2, imax_t))
         mode = "pencil"
         n_planes = int(valid.sum())
 

@@ -336,6 +336,14 @@ class PlaneSection:
         return self.point + u * self.u_axis + v * self.v_axis
 
 
+def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> None:
+    """Raise NotOnSurface unless p lies on the unit sphere and on the ellipsoid surface."""
+    if abs(np.linalg.norm(p) - 1.0) > 1e-6:
+        raise NotOnSurface(f"point is not on the unit sphere (|p| = {np.linalg.norm(p):.9f})")
+    if abs(ell.surface_value(p)) > 1e-6:
+        raise NotOnSurface(f"point is not on the ellipsoid surface (value {ell.surface_value(p):.3e})")
+
+
 def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEOM) -> PlaneSection:
     """Section the sphere and ellipsoid by the plane through `point` with `normal`.
 
@@ -351,11 +359,8 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
     if nn <= tol:
         raise ValueError("normal must be a nonzero vector")
     nrm = nrm / nn
-    if abs(np.linalg.norm(p) - 1.0) > 1e-6:
-        raise NotOnSurface(f"point is not on the unit sphere (|p| = {np.linalg.norm(p):.9f})")
+    check_on_both_surfaces(ell, p)
     minv = ell.inverse_shape_matrix()
-    if abs(ell.surface_value(p)) > 1e-6:
-        raise NotOnSurface(f"point is not on the ellipsoid surface (value {ell.surface_value(p):.3e})")
 
     d = float(nrm @ p)
     r2 = 1.0 - d * d

@@ -5,6 +5,7 @@ code takes arrays of planes (the scans) and Python floats (the golden-section
 refinement in `criteria.p_bounds`):
 
   reduce_planes     plane normals -> (alpha, beta, gamma, R, u, v, valid)
+  plane_margin      signed steerability margin of an in-plane point
   plane_bounds      per-plane extremal thresholds and the slopes attaining them
   pencil_threshold  per-plane threshold at the chord slope of b
 
@@ -85,6 +86,17 @@ def reduce_planes(minv, g, p, nx, ny, nz):
     be = -(auv / avv) / radius
     ga = -(lu / avv) / radius
     return al, be, ga, radius, (ux, uy, uz), (vx, vy, vz), valid
+
+
+def plane_margin(al, be, ga, radius, ub, vb):
+    """Signed margin of the in-plane point (ub, vb): positive iff its homology
+    image lies strictly inside the section circle, i.e. iff it is steerable in
+    that plane."""
+    return (
+        2.0 * radius * (ga * ga + be * (1.0 + ga) * vb) * ub
+        - (1.0 - 2.0 * radius * al * (1.0 + ga)) * ub * ub
+        - vb * vb
+    )
 
 
 def plane_bounds(al, be, ga, radius):

@@ -28,6 +28,10 @@ PAULI = np.array(
 
 _I2 = np.eye(2, dtype=complex)
 
+# _PAULI_BASIS[i, j] = sigma_i (x) sigma_j with sigma_0 = I
+_SIGMA = np.concatenate([_I2[None], PAULI])
+_PAULI_BASIS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+
 
 @dataclass(frozen=True)
 class TwoQubitState:
@@ -39,13 +43,12 @@ class TwoQubitState:
 
     def density_matrix(self) -> np.ndarray:
         """Reconstruct the 4x4 density matrix in the computational basis."""
-        rho = np.kron(_I2, _I2)
-        for i in range(3):
-            rho = rho + self.a[i] * np.kron(PAULI[i], _I2)
-            rho = rho + self.b[i] * np.kron(_I2, PAULI[i])
-            for j in range(3):
-                rho = rho + self.T[i, j] * np.kron(PAULI[i], PAULI[j])
-        return rho / 4.0
+        coeff = np.empty((4, 4))
+        coeff[0, 0] = 1.0
+        coeff[0, 1:] = self.b
+        coeff[1:, 0] = self.a
+        coeff[1:, 1:] = self.T
+        return np.tensordot(coeff, _PAULI_BASIS, axes=2) / 4.0
 
     def alice_purity_gap(self) -> float:
         """1 - |a|^2; zero iff Alice's reduced state is pure."""

@@ -129,8 +129,11 @@ def test_analyze_degenerate_contact(capsys, bell_file):
 def test_valid_state_outside_scenario_exit_code(capsys, tmp_path, obj):
     code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
     assert code == 3
-    assert out == ""
     assert "error" in err
+    payload = json.loads(out)
+    assert payload["state"] == obj
+    assert payload["error"] in err
+    assert "steerable" not in payload
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -11,6 +11,7 @@ from steerell import (
     BOutsideEllipsoid,
     InvalidReducedState,
     DegeneratePlane,
+    NotOnSurface,
     PlaneSection,
     classify_locus,
     ellipsoid_from_geometry,
@@ -85,6 +86,21 @@ def test_reduced_point_outside_section_rejected():
         steerable_in_plane(section, [1.9, 0.0])
 
 
+def test_locus_rejects_bad_contact_and_reduced_points():
+    ell = _sphere(0.4)
+    with pytest.raises(InvalidReducedState):
+        locus_of_h(ell, [0.0, 0.0, 0.1], p=P_TOP)  # outside the ellipsoid
+    with pytest.raises(InvalidReducedState):
+        locus_of_h(ell, P_TOP, p=P_TOP)
+    with pytest.raises(NotOnSurface):
+        locus_of_h(ell, [0.0, 0.0, 0.6], p=[1.0, 0.0, 0.0])
+    # p on both surfaces where they cross: the ellipsoid normal is not along p
+    crossing = ellipsoid_from_geometry([0.0, 0.0, 0.8], [0.5, 0.5, 0.5])
+    z = 1.39 / 1.6
+    with pytest.raises(NotOnSurface):
+        locus_of_h(crossing, [0.0, 0.0, 0.8], p=[np.sqrt(1.0 - z * z), 0.0, z])
+
+
 def test_degenerate_section_rejected():
     flat = PlaneSection(
         point=P_TOP,
@@ -147,6 +163,14 @@ def test_shared_reduction_matches_eigen_path(seed):
         assert ok == (b_local[0] > 1e-12)
         if ok:
             assert thr == pytest.approx(_plane_threshold(section, b_local), abs=1e-9)
+    # the batched locus against the eigen path on each of its own planes
+    locus = locus_of_h(ell, b, n_planes=24, p=p)
+    for normal, margin, point in zip(locus.normals, locus.margins, locus.points):
+        section = plane_section(ell, p, normal)
+        verdict = steerable_in_plane(section, section.to_plane(b))
+        assert margin == pytest.approx(verdict.margin, abs=1e-9)
+        if verdict.h_local is not None and np.isfinite(point).all():
+            np.testing.assert_allclose(point, section.from_plane(verdict.h_local), rtol=0, atol=1e-9)
 
 
 @given(seed=seeds)
@@ -161,11 +185,12 @@ def test_margin_sign_matches_threshold_comparison(seed):
         return
     w = pure_state_probability(ell, p, b)
     locus = locus_of_h(ell, b, n_planes=24, p=p)
-    for verdict in locus.verdicts:
-        thr = _plane_threshold(verdict.section, verdict.b_local)
-        if abs(w - thr) < 1e-10 or abs(verdict.margin) < 1e-12:
+    for normal, margin in zip(locus.normals, locus.margins):
+        section = plane_section(ell, p, normal)
+        thr = _plane_threshold(section, section.to_plane(b))
+        if abs(w - thr) < 1e-10 or abs(margin) < 1e-12:
             continue
-        assert verdict.steerable == (w > thr)
+        assert (margin > 0.0) == (w > thr)
 
 
 def test_x_geometry_locus_endpoints_frozen():
@@ -269,6 +294,6 @@ def test_locus_result_shapes():
     ell = _sphere(0.5)
     locus = locus_of_h(ell, [0.0, 0.0, 0.3], n_planes=12, p=P_TOP)
     assert locus.points.shape == (12, 3)
-    assert len(locus.verdicts) == 12
+    assert locus.margins.shape == (12,)
     assert locus.normals.shape == (12, 3)
     assert np.isfinite(locus.points).all()

@@ -30,6 +30,22 @@ def test_density_matrix_trace_and_hermiticity():
 
 @given(seed=seeds)
 @settings(max_examples=50, deadline=None)
+def test_density_matrix_matches_kron_sum(seed):
+    rng = np.random.default_rng(seed)
+    a, b, T = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (3, 3))
+    eye = np.eye(2)
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+    ref = np.kron(eye, eye) + sum(
+        a[i] * np.kron(sigma[i], eye)
+        + b[i] * np.kron(eye, sigma[i])
+        + sum(T[i, j] * np.kron(sigma[i], sigma[j]) for j in range(3))
+        for i in range(3)
+    )
+    npt.assert_allclose(TwoQubitState(a=a, b=b, T=T).density_matrix(), ref / 4.0, rtol=0, atol=1e-15)
+
+
+@given(seed=seeds)
+@settings(max_examples=50, deadline=None)
 def test_pauli_density_round_trip(seed):
     rng = np.random.default_rng(seed)
     state = sampling.random_state(rng)
