@@ -245,6 +245,7 @@ def _sweep_row(state, ell, p, b, planes, pencil_bounds):
         "p_min": bounds.p_min,
         "p_max": bounds.p_max,
         "margin": margin,
+        "indeterminate": abs(margin) < BOUNDARY_BAND,
     }
 
 
@@ -313,6 +314,7 @@ def cmd_family_sweep(args):
         header = ["a", "b", "t", "steerable", "p_p", "p_min", "p_max", "margin", "forms_agree"]
     else:
         raise _CliError(EXIT_USAGE, f"unknown family {args.family!r}")
+    header.append("indeterminate")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

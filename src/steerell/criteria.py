@@ -239,7 +239,8 @@ def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     if section.degenerate:
         raise DegeneratePlane("section ellipse is collapsed")
     hom = homology(section.m, section.n, section.delta, section.R, check=False)
-    lo, hi, k_min, k_max = kernels.plane_bounds(hom.alpha, hom.beta, hom.gamma, hom.R)
+    lo, hi = kernels.plane_bounds(hom.alpha, hom.beta, hom.gamma, hom.R)
+    k_min, k_max = kernels.plane_slopes(hom.alpha, hom.beta)
     return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
 
 
@@ -277,9 +278,12 @@ def p_bounds(
 ) -> ProbBounds:
     """Global probability bounds over plane scans.
 
-    With b=None every plane through the contact point p is scanned and the
-    per-plane extremal thresholds over all chord slopes are aggregated
-    (sufficient / necessary bounds for steerability of any reduced point).
+    With b=None every plane through the contact point p is scanned, one
+    normal per plane (a hemisphere of the (n_theta, n_phi) grid of normals,
+    since n and -n give the same plane), and the per-plane extremal
+    thresholds over all chord slopes are aggregated (sufficient / necessary
+    bounds for steerability of any reduced point); n_planes counts the
+    valid planes scanned.
     With b given, only the pencil of planes containing the line p b is
     scanned and the per-plane threshold is evaluated at b's own chord slope,
     which bounds the thresholds actually faced by that reduced point.
@@ -293,14 +297,18 @@ def p_bounds(
     minv_f, g_f, p_f = minv.tolist(), (minv @ (p - ell.centre)).tolist(), p.tolist()
     if b is None:
         n_theta, n_phi = resolution
-        thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+        # n and -n give the same plane: scan the upper hemisphere of the
+        # grid, plus the equator row when n_theta is odd
+        thetas = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
         phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
         sin_t = np.sin(thetas)[:, None]
-        normals = np.empty((n_theta, n_phi, 3))
-        normals[..., 0] = sin_t * np.cos(phis)
-        normals[..., 1] = sin_t * np.sin(phis)
-        normals[..., 2] = np.cos(thetas)[:, None]
-        normals = normals.reshape(-1, 3)
+        comp = np.empty((3, len(thetas), n_phi))
+        comp[0] = sin_t * np.cos(phis)
+        comp[1] = sin_t * np.sin(phis)
+        comp[2] = np.cos(thetas)[:, None]
+        # an (n, 3) view whose components are contiguous rows, as the
+        # kernel's reduction reads them
+        normals = comp.reshape(3, -1).T
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
         lo = np.where(valid, lo, np.inf)
         hi = np.where(valid, hi, -np.inf)
@@ -320,7 +328,7 @@ def p_bounds(
                 # grows like eps/R^2 and fakes extrema below this radius
                 if not ok or radius < 5e-3:
                     return np.inf
-                lo_s, hi_s, _, _ = kernels.plane_bounds(al, be, ga, radius)
+                lo_s, hi_s = kernels.plane_bounds(al, be, ga, radius)
                 return float(lo_s) if which == 0 else -float(hi_s)
 
             for which, idx in ((0, imin), (1, imax)):

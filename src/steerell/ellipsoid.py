@@ -48,11 +48,8 @@ class SteeringEllipsoid:
     zero_volume: bool
     state: TwoQubitState | None = None
 
-    def shape_matrix(self) -> np.ndarray:
-        """W with surface (x - c)^t W^-1 (x - c) = 1."""
-        return self.axes @ np.diag(self.semiaxes**2) @ self.axes.T
-
     def inverse_shape_matrix(self) -> np.ndarray:
+        """W^-1 with surface (x - c)^t W^-1 (x - c) = 1."""
         if self.zero_volume:
             raise DegenerateEllipsoid("ellipsoid has zero volume")
         return self.axes @ np.diag(1.0 / self.semiaxes**2) @ self.axes.T
@@ -72,12 +69,6 @@ class SteeringEllipsoid:
         """(x - c)^t W^-1 (x - c) - 1; zero on the surface, negative inside."""
         d = np.asarray(x, dtype=float) - self.centre
         return float(d @ self.inverse_shape_matrix() @ d - 1.0)
-
-    def surface_point_with_normal(self, direction) -> np.ndarray:
-        """Surface point whose outward normal is parallel to `direction`."""
-        w = self.shape_matrix()
-        d = np.asarray(direction, dtype=float)
-        return self.centre + (w @ d) / np.sqrt(d @ w @ d)
 
 
 @dataclass(frozen=True)

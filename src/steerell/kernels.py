@@ -6,7 +6,8 @@ refinement in `criteria.p_bounds`):
 
   reduce_planes     plane normals -> (alpha, beta, gamma, R, u, v, valid)
   plane_margin      signed steerability margin of an in-plane point
-  plane_bounds      per-plane extremal thresholds and the slopes attaining them
+  plane_bounds      per-plane extremal thresholds over chord slopes
+  plane_slopes      the chord slopes attaining them
   pencil_threshold  per-plane threshold at the chord slope of b
 
 Kernels:
@@ -100,11 +101,11 @@ def plane_margin(al, be, ga, radius, ub, vb):
 
 
 def plane_bounds(al, be, ga, radius):
-    """Extremal thresholds of one plane over all chord slopes k.
+    """Extremal thresholds (p_min, p_max) of one plane over all chord slopes k.
 
-    Returns (p_min, p_max, k_at_min, k_at_max). With beta != 0 the extremes sit
-    at the two stationary slopes; with beta = 0 the threshold is monotone in
-    k^2, so they sit at k = 0 and at the axis-parallel limit k = inf.
+    With beta != 0 the extremes sit at the two stationary slopes; with
+    beta = 0 the threshold is monotone in k^2, so they sit at k = 0 and at
+    the axis-parallel limit k = inf (see `plane_slopes`).
     """
     beta_zero = abs(be) <= _BETA_EPS
     s = _sqrt(al * al + be * be)
@@ -112,18 +113,29 @@ def plane_bounds(al, be, ga, radius):
     num = 1.0 - ga - radius * radius * be * be * (1.0 + ga) - radius * al * (2.0 - ga * ga)
     lo = (num - radius * ga * ga * s) / den
     hi = (num + radius * ga * ga * s) / den
-    be_safe = _select(beta_zero, 1.0, be)
-    k_min = (-al + s) / be_safe
-    k_max = (-al - s) / be_safe
     p0 = (1.0 - ga - 2.0 * radius * al) / (1.0 - 2.0 * radius * al * (1.0 + ga))
     lim = 1.0 - ga
     falls = al < -_BETA_EPS  # threshold at k = 0 above the axis-parallel limit
     rises = al > _BETA_EPS
     lo = _select(beta_zero, _select(rises, p0, lim), lo)
     hi = _select(beta_zero, _select(falls, p0, lim), hi)
+    return lo, hi
+
+
+def plane_slopes(al, be):
+    """Chord slopes (k_at_min, k_at_max) at which `plane_bounds` are attained.
+
+    k = inf stands for the axis-parallel limit.
+    """
+    beta_zero = abs(be) <= _BETA_EPS
+    s = _sqrt(al * al + be * be)
+    be_safe = _select(beta_zero, 1.0, be)
+    k_min = (-al + s) / be_safe
+    k_max = (-al - s) / be_safe
+    falls = al < -_BETA_EPS
     k_min = _select(beta_zero, _select(falls, np.inf, 0.0), k_min)
     k_max = _select(beta_zero, _select(falls, 0.0, np.inf), k_max)
-    return lo, hi, k_min, k_max
+    return k_min, k_max
 
 
 def pencil_threshold(al, be, ga, radius, u, v, db):
@@ -160,7 +172,7 @@ def scan_bounds(minv, centre, p, normals):
     normals = np.asarray(normals, dtype=float)
     g = minv @ (p - centre)
     al, be, ga, radius, _, _, valid = reduce_planes(minv, g, p, *normals.T)
-    lo, hi, _, _ = plane_bounds(al, be, ga, radius)
+    lo, hi = plane_bounds(al, be, ga, radius)
     return np.where(valid, lo, 0.0), np.where(valid, hi, 0.0), valid
 
 

@@ -149,11 +149,6 @@ def inverse_apply(h: Homology, pt) -> np.ndarray:
     return h.gamma * np.array([u, v]) / den
 
 
-def map_b_to_h(h: Homology, b) -> np.ndarray:
-    """h point of Bob's in-plane reduced point b, h = H(b)."""
-    return apply(h, b)
-
-
 def transport(h: Homology, conic: np.ndarray) -> np.ndarray:
     """Push a conic through the homology: E maps to (H^-1)^t E H^-1."""
     hinv = h.inverse_matrix()

@@ -191,6 +191,16 @@ def test_family_sweep_sphere(capsys):
         assert float(row["p_p"]) == pytest.approx(0.5, abs=1e-9)
         assert float(row["p_min"]) == pytest.approx(1.0 - r, abs=1e-6)
         assert float(row["p_max"]) == pytest.approx(1.0 - r, abs=1e-6)
+        assert row["indeterminate"] == "false"
+    # r = 0.5 puts p_p exactly at the threshold 1 - r: the margin is rounding
+    # noise, and the row says so
+    code, out, _err = _run(
+        capsys,
+        ["family-sweep", "--family", "sphere", "--param", "r=0.5:0.5:1", "--planes", "24"],
+    )
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["indeterminate"] == "true"
 
 
 def test_family_sweep_xstate(capsys):

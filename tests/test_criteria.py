@@ -297,3 +297,25 @@ def test_locus_result_shapes():
     assert locus.margins.shape == (12,)
     assert locus.normals.shape == (12, 3)
     assert np.isfinite(locus.points).all()
+
+
+@pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14)])
+def test_hemisphere_scan_loses_no_plane(resolution):
+    # n and -n give the same plane, so the hemisphere p_bounds scans must
+    # reach the extremes of the scan over the whole sphere of grid normals
+    n_theta, n_phi = resolution
+    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    normals = np.stack(
+        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
+    ).reshape(-1, 3)
+    rows = -(-n_theta // 2)
+    for seed in range(5):
+        _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
+        p = rep.point
+        lo, hi, valid = kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals)
+        out = p_bounds(ell, p=p, resolution=resolution, refine=False)
+        assert out.p_min == pytest.approx(max(lo[valid].min(), 0.0), rel=0, abs=1e-12)
+        assert out.p_max == pytest.approx(hi[valid].max(), rel=0, abs=1e-12)
+        assert out.n_planes == valid[: rows * n_phi].sum()

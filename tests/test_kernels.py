@@ -64,7 +64,8 @@ def test_bounds_closed_form_is_extremal(al, be, ga, radius):
     # nested sections, so poles are excluded up front
     disc = (radius * (1 + ga) * be) ** 2 - (1 - 2 * radius * (1 + ga) * al)
     assume(disc < -1e-3)
-    lo, hi, k_min, k_max = kernels.plane_bounds(al, be, ga, radius)
+    lo, hi = kernels.plane_bounds(al, be, ga, radius)
+    k_min, k_max = kernels.plane_slopes(al, be)
     ks = np.tan(np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, 801))
 
     def threshold(k):
