@@ -105,7 +105,9 @@ def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY
     val = conic_value(e_conic, b_local)
     if val > TOL_GEOM:
         raise InvalidReducedState(f"b is outside the section ellipse (conic value {val:.3e})")
-    margin = kernels.plane_margin(hom.alpha, hom.beta, hom.gamma, hom.R, float(b_local[0]), float(b_local[1]))
+    margin = kernels.plane_margin(
+        hom.R * hom.alpha, hom.R * hom.beta, hom.gamma, hom.R, float(b_local[0]), float(b_local[1])
+    )
     try:
         h_local = apply(hom, b_local)
     except AtInfinity:
@@ -158,9 +160,9 @@ def _pencil(p, b, n_planes, tol=TOL_GEOM):
     seed = np.array([1.0, 0.0, 0.0])
     if abs(direction @ seed) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(direction, seed)
+    e1 = kernels.cross3(direction, seed)
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(direction, e1)
+    e2 = kernels.cross3(direction, e1)
     return e1, e2, np.linspace(0.0, np.pi, n_planes, endpoint=False)
 
 
@@ -176,11 +178,12 @@ def _resolve_contact(ell: SteeringEllipsoid, p):
 def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> LocusResult:
     """h points and margins of b over the pencil of planes through p and b.
 
-    All planes are reduced in one array pass: each plane's homology column
-    (alpha, beta, gamma) and in-plane frame (u, v) come from
-    `kernels.reduce_planes`, b's in-plane coordinates are (b - p).u and
-    (b - p).v, and h = (u_b, v_b) / (alpha u_b + beta v_b + gamma). Rows
-    where h maps to the line at infinity stay NaN.
+    All planes are reduced in one array pass in the contact frame of
+    `kernels.contact_frame`: each plane's (R alpha, R beta, gamma) and R^2
+    come from `kernels.reduce_planes`, b's in-plane coordinates (u_b, v_b),
+    scaled by R, from `kernels.chord_coords`, and
+    h = (u_b, v_b) / (alpha u_b + beta v_b + gamma). Rows where h maps to the
+    line at infinity stay NaN.
 
     Raises NotOnSurface unless p is the contact point, InvalidReducedState
     when b is at p or outside the ellipsoid.
@@ -189,28 +192,29 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> Loc
     b = np.asarray(b, dtype=float)
     e1, e2, ts = _pencil(p, b, n_planes)
     check_on_both_surfaces(ell, p)
-    minv = ell.inverse_shape_matrix()
-    g = minv @ (p - ell.centre)
+    q, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, p)
     # every pencil section is tangent to its v axis at p only if the
     # ellipsoid normal at p is along p
-    if np.linalg.norm(np.cross(g, p)) > 1e-6 * np.linalg.norm(g):
+    if math.hypot(gp[0], gp[1]) > 1e-6 * np.linalg.norm(gp):
         raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
     if ell.surface_value(b) > TOL_GEOM:
         raise InvalidReducedState(f"b is outside the ellipsoid (value {ell.surface_value(b):.3e})")
-    normals = kernels.pencil_normals(e1, e2, ts)
-    al, be, ga, radius, u, v, valid = kernels.reduce_planes(minv, g, p, *normals)
+    x, y, d = kernels.pencil_normals(q @ e1, q @ e2, ts)
+    mu, nu, ga, r2, valid = kernels.reduce_planes(mp, gp, x, y, d)
     if not valid.all():
         # such a plane has normal +-p, which puts b on the tangent plane at p
         raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
-    d = b - p
-    ub = d[0] * u[0] + d[1] * u[1] + d[2] * u[2]
-    vb = d[0] * v[0] + d[1] * v[1] + d[2] * v[2]
-    margins = kernels.plane_margin(al, be, ga, radius, ub, vb)
-    den = al * ub + be * vb + ga
-    scale = 1.0 / np.where(np.abs(den) < 1e-12, np.nan, den)
-    hu, hv = ub * scale, vb * scale
-    points = np.stack([p[k] + hu * u[k] + hv * v[k] for k in range(3)], axis=-1)
-    return LocusResult(points=points, margins=margins, normals=np.stack(normals, axis=-1))
+    wu, wv = kernels.chord_coords(x, y, d, r2, q @ (b - p))
+    radius = np.sqrt(r2)
+    margins = kernels.plane_margin(mu, nu, ga, radius, wu / radius, wv / radius)
+    # den = r2 (alpha u_b + beta v_b + gamma); h = p + (w_u u' + w_v v') / den
+    # with u' = (d x, d y, -r2) and v' = (-y, x, 0) the R-scaled in-plane axes
+    den = mu * wu + nu * wv + ga * r2
+    scale = 1.0 / np.where(np.abs(den) < 1e-12 * r2, np.nan, den)
+    hu, hv = wu * scale, wv * scale
+    points = p + np.stack([(hu * d * x - hv * y), (hu * d * y + hv * x), -hu * r2], axis=-1) @ q
+    normals = np.stack(kernels.pencil_normals(e1, e2, ts), axis=-1)
+    return LocusResult(points=points, margins=margins, normals=normals)
 
 
 def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> str:
@@ -239,14 +243,15 @@ def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     if section.degenerate:
         raise DegeneratePlane("section ellipse is collapsed")
     hom = homology(section.m, section.n, section.delta, section.R, check=False)
-    lo, hi = kernels.plane_bounds(hom.alpha, hom.beta, hom.gamma, hom.R)
-    k_min, k_max = kernels.plane_slopes(hom.alpha, hom.beta)
+    mu, nu = hom.R * hom.alpha, hom.R * hom.beta
+    lo, hi = kernels.plane_bounds(mu, nu, hom.gamma)
+    k_min, k_max = kernels.plane_slopes(mu, nu)
     return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
 
 
 def _golden_minimize(fun, lo, hi, tol=1e-10):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
@@ -293,8 +298,9 @@ def p_bounds(
     """
     p = _resolve_contact(ell, p)
     minv = ell.inverse_shape_matrix()
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
     # the refinement evaluates one plane at a time, on Python floats
-    minv_f, g_f, p_f = minv.tolist(), (minv @ (p - ell.centre)).tolist(), p.tolist()
+    mp_f, gp_f = mp.tolist(), gp.tolist()
     if b is None:
         n_theta, n_phi = resolution
         # n and -n give the same plane: scan the upper hemisphere of the
@@ -306,8 +312,8 @@ def p_bounds(
         comp[0] = sin_t * np.cos(phis)
         comp[1] = sin_t * np.sin(phis)
         comp[2] = np.cos(thetas)[:, None]
-        # an (n, 3) view whose components are contiguous rows, as the
-        # kernel's reduction reads them
+        # an (n, 3) view of contiguous component rows, which the kernel
+        # rotates into the contact frame with one matrix product
         normals = comp.reshape(3, -1).T
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
         lo = np.where(valid, lo, np.inf)
@@ -319,17 +325,21 @@ def p_bounds(
 
         if refine:
             dth, dph = np.pi / n_theta, 2.0 * np.pi / n_phi
+            (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q.tolist()
 
             def plane_value(theta, phi, which):
-                al, be, ga, radius, _, _, ok = kernels.reduce_planes(
-                    minv_f, g_f, p_f, *_normal_from_angles(theta, phi)
-                )
-                # reject nearly tangent planes: the conic reduction noise
-                # grows like eps/R^2 and fakes extrema below this radius
-                if not ok or radius < 5e-3:
+                nx, ny, nz = _normal_from_angles(theta, phi)
+                x = q00 * nx + q01 * ny + q02 * nz
+                y = q10 * nx + q11 * ny + q12 * nz
+                d = q20 * nx + q21 * ny + q22 * nz
+                mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, x, y, d)
+                # reject nearly tangent planes, R < 5e-3; the reduction's
+                # rounding error grows like eps/R (3e-11 relative at
+                # R = 1e-5, measured against exact arithmetic)
+                if not ok or r2 < 5e-3**2:
                     return np.inf
-                lo_s, hi_s = kernels.plane_bounds(al, be, ga, radius)
-                return float(lo_s) if which == 0 else -float(hi_s)
+                lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
+                return lo_s if which == 0 else -hi_s
 
             for which, idx in ((0, imin), (1, imax)):
                 th0, ph0 = thetas[idx // n_phi], phis[idx % n_phi]
@@ -357,15 +367,15 @@ def p_bounds(
         imin = int(np.argmin(tl))
         imax = int(np.argmax(th))
         p_min, p_max = float(tl[imin]), float(th[imax])
-        e1_f, e2_f, db_f = e1.tolist(), e2.tolist(), (b - p).tolist()
+        qe1_f, qe2_f, db_f = (q @ e1).tolist(), (q @ e2).tolist(), (q @ (b - p)).tolist()
 
         def pencil_value(t, sign):
-            nrm = kernels.pencil_normals(e1_f, e2_f, t)
-            al, be, ga, radius, u, v, ok = kernels.reduce_planes(minv_f, g_f, p_f, *nrm)
+            x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t)
+            mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, x, y, d)
             if not ok:
                 return np.inf
-            val, ok = kernels.pencil_threshold(al, be, ga, radius, u, v, db_f)
-            return sign * float(val) if ok else np.inf
+            k, ok = kernels.chord_slope(x, y, d, r2, db_f)
+            return sign * kernels.pencil_threshold(mu, nu, ga, k) if ok else np.inf
 
         if refine:
             dt = np.pi / n_t

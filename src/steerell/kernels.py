@@ -4,11 +4,14 @@ Each formula has one implementation, written component-wise so that the same
 code takes arrays of planes (the scans) and Python floats (the golden-section
 refinement in `criteria.p_bounds`):
 
-  reduce_planes     plane normals -> (alpha, beta, gamma, R, u, v, valid)
+  contact_frame     rotation Q to the contact-point frame, M' and g' in it
+  reduce_planes     contact-frame normals -> (mu, nu, gamma, r2, valid)
+  chord_coords      R (u_b, v_b): in-plane coordinates of b - p, scaled by R
+  chord_slope       k = v_b / u_b, valid where b is on the u > 0 side of p
   plane_margin      signed steerability margin of an in-plane point
   plane_bounds      per-plane extremal thresholds over chord slopes
   plane_slopes      the chord slopes attaining them
-  pencil_threshold  per-plane threshold at the chord slope of b
+  pencil_threshold  per-plane threshold at the chord slope k of b
 
 Kernels:
   scan_bounds     per-plane probability bounds over a grid of plane normals
@@ -26,13 +29,22 @@ HAVE_NUMBA = False
 DEFAULT_BACKEND = "numpy"
 
 # ---------------------------------------------------------------------------
-# per-plane conic reduction and closed-form bounds
+# per-plane conic reduction in the contact frame
 #
-# For a plane through the contact point p with unit normal n the in-plane
-# frame is u = (d n - p)/R, v = n x u with d = n.p, R = sqrt(1 - d^2).
-# The ellipsoid section conic, normalized to unit v^2 coefficient, yields
-# (alpha, beta, gamma) = (mu, nu, xi)/R and the per-plane extremal
-# probabilities over chord slopes follow in closed form.
+# Q has rows (e1, e2, p), with e1 x e2 = p, so a plane normal n reads
+# (x, y, d) = Q n. The plane through p has circle radius R with
+# R^2 = r2 = x^2 + y^2, and its in-plane frame u = (d n - p)/R, v = n x u is
+# u' = (d x, d y, -r2), v' = (-y, x, 0) in Q coordinates, scaled by R.
+# With M' = Q minv Q^T and g' = Q minv (p - centre), the section conic's
+# homology column (alpha, beta, gamma) satisfies
+#
+#   mu = R alpha = (1 - u'M'u' / V) / 2,   nu = R beta = -u'M'v' / V,
+#   gamma = -u'.g' / V,                     V = v'M'v',
+#
+# every factor of R cancelling. The per-plane bounds, slopes and pencil
+# threshold depend on (mu, nu, gamma) only, so the scans and the refinement
+# take no square root of r2 and build no u, v; r2 itself carries no
+# 1 - d^2 cancellation near the tangent plane.
 # ---------------------------------------------------------------------------
 
 _BETA_EPS = 1e-12
@@ -41,7 +53,7 @@ _R2_EPS = 1e-12
 
 # The refinement calls the per-plane formulas one plane at a time on Python
 # floats; numpy functions would turn those into numpy scalars, whose
-# arithmetic is several times slower. These two keep floats as floats.
+# arithmetic is several times slower. These keep floats as floats.
 def _select(cond, a, b):
     if isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
@@ -52,112 +64,161 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def reduce_planes(minv, g, p, nx, ny, nz):
-    """(alpha, beta, gamma, R, u, v, valid) of the planes through p with unit
-    normal (nx, ny, nz).
+def contact_frame(minv, centre, p):
+    """(Q, M', g') at the contact point p of the ellipsoid with inverse shape
+    matrix `minv` and centre `centre`.
 
-    `minv` is the ellipsoid's inverse shape matrix and g = minv (p - centre);
-    both and p may be arrays or nested lists of floats. The normal components
-    are floats or arrays of one shape; u and v come back as component triples.
-    Near-tangent planes are invalid and are reduced with R = 1 so that their
-    values stay finite; callers mask them.
+    Q's rows are (e1, e2, p) with e1 x e2 = p, M' = Q minv Q^T and
+    g' = Q minv (p - centre). For p = e_z, Q is the identity.
     """
-    d = nx * p[0] + ny * p[1] + nz * p[2]
-    r2 = 1.0 - d * d
+    minv = np.asarray(minv, dtype=float)
+    p = np.asarray(p, dtype=float)
+    # e1: the coordinate axis least aligned with p, made orthogonal to p
+    k = int(np.argmin(np.abs(p)))
+    e1 = -p[k] * p
+    e1[k] += 1.0
+    e1 /= np.linalg.norm(e1)
+    q = np.array([e1, cross3(p, e1), p])
+    return q, q @ minv @ q.T, q @ (minv @ (p - centre))
+
+
+def cross3(a, b):
+    """a x b for two 3-vectors, as np.cross computes it, in about 4 us;
+    np.cross itself takes 30-50 us a call on numpy 2.4."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def reduce_planes(mp, gp, x, y, d):
+    """(mu, nu, gamma, r2, valid) of the planes through p with contact-frame
+    normal (x, y, d); mu = R alpha, nu = R beta and r2 = R^2.
+
+    `mp` and `gp` are M' and g' of `contact_frame`, as arrays or nested lists
+    of floats; g' may have transverse components. The normal components are
+    floats or arrays of one shape. Near-tangent planes are invalid and come
+    back as mu = nu = gamma = 0; callers mask them.
+    """
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
+    xx, yy, xy = x * x, y * y, x * y
+    r2 = xx + yy
     valid = r2 > _R2_EPS
-    radius = _sqrt(_select(valid, r2, 1.0))
-    ux = (d * nx - p[0]) / radius
-    uy = (d * ny - p[1]) / radius
-    uz = (d * nz - p[2]) / radius
-    vx = ny * uz - nz * uy
-    vy = nz * ux - nx * uz
-    vz = nx * uy - ny * ux
-    m0, m1, m2 = minv
-    mux = m0[0] * ux + m0[1] * uy + m0[2] * uz
-    muy = m1[0] * ux + m1[1] * uy + m1[2] * uz
-    muz = m2[0] * ux + m2[1] * uy + m2[2] * uz
-    mvx = m0[0] * vx + m0[1] * vy + m0[2] * vz
-    mvy = m1[0] * vx + m1[1] * vy + m1[2] * vz
-    mvz = m2[0] * vx + m2[1] * vy + m2[2] * vz
-    auu = ux * mux + uy * muy + uz * muz
-    auv = ux * mvx + uy * mvy + uz * mvz
-    avv = vx * mvx + vy * mvy + vz * mvz
-    lu = ux * g[0] + uy * g[1] + uz * g[2]
-    al = 0.5 * (1.0 - auu / avv) / radius
-    be = -(auv / avv) / radius
-    ga = -(lu / avv) / radius
-    return al, be, ga, radius, (ux, uy, uz), (vx, vy, vz), valid
+    vv = m11 * xx - 2.0 * m01 * xy + m00 * yy
+    inv = valid / _select(valid, vv, 1.0)  # 1/V, and 0 on invalid planes
+    # The scans pass tens of thousands of planes, and allocating fresh
+    # arrays of that size costs more than the arithmetic on them, so the
+    # temporaries are updated in place and dropped as soon as they are used.
+    # -V nu = u'M'v' = d (m01 (x^2 - y^2) + (m11 - m00) x y) - r2 (m12 x - m02 y)
+    xx -= yy
+    xx *= m01
+    xy *= m11 - m00
+    xy += xx
+    xy *= d
+    del xx, yy
+    nu = r2 * (m12 * x - m02 * y)
+    nu -= xy
+    nu *= inv
+    del xy
+    # u'M'u' = r2 t - d^2 V with t = tr d^2 - 2 d (m02 x + m12 y) + m22 r2 and
+    # tr = m00 + m11, since m00 x^2 + 2 m01 x y + m11 y^2 = tr r2 - V
+    d2 = d * d
+    t = (m00 + m11) * d2
+    t -= d * (2.0 * m02 * x + 2.0 * m12 * y)
+    t += m22 * r2
+    t *= r2
+    mu = (1.0 + d2) * vv
+    mu -= t
+    mu *= inv
+    mu *= 0.5
+    del t, d2, vv
+    # -V gamma = u'.g' = d (g'0 x + g'1 y) - r2 g'2
+    ga = r2 * gp[2]
+    ga -= d * (gp[0] * x + gp[1] * y)
+    ga *= inv
+    return mu, nu, ga, r2, valid
 
 
-def plane_margin(al, be, ga, radius, ub, vb):
+def chord_coords(x, y, d, r2, db):
+    """R (u_b, v_b): the in-plane coordinates of db = Q (b - p), scaled by R,
+    in the planes with contact-frame normal (x, y, d)."""
+    return d * (x * db[0] + y * db[1]) - r2 * db[2], x * db[1] - y * db[0]
+
+
+def chord_slope(x, y, d, r2, db):
+    """(k, valid): the chord slope v_b / u_b of db = Q (b - p) in each plane;
+    valid where u_b > 1e-12, i.e. where b is on the u > 0 side of p."""
+    wu, wv = chord_coords(x, y, d, r2, db)
+    valid = (wu > 0.0) & (wu * wu > _R2_EPS * _R2_EPS * r2)
+    return wv / _select(valid, wu, 1.0), valid
+
+
+def plane_margin(mu, nu, ga, radius, ub, vb):
     """Signed margin of the in-plane point (ub, vb): positive iff its homology
     image lies strictly inside the section circle, i.e. iff it is steerable in
-    that plane."""
+    that plane. (mu, nu) = R (alpha, beta) and radius = R."""
     return (
-        2.0 * radius * (ga * ga + be * (1.0 + ga) * vb) * ub
-        - (1.0 - 2.0 * radius * al * (1.0 + ga)) * ub * ub
+        2.0 * (radius * ga * ga + nu * (1.0 + ga) * vb) * ub
+        - (1.0 - 2.0 * mu * (1.0 + ga)) * ub * ub
         - vb * vb
     )
 
 
-def plane_bounds(al, be, ga, radius):
+def plane_bounds(mu, nu, ga):
     """Extremal thresholds (p_min, p_max) of one plane over all chord slopes k.
 
-    With beta != 0 the extremes sit at the two stationary slopes; with
-    beta = 0 the threshold is monotone in k^2, so they sit at k = 0 and at
-    the axis-parallel limit k = inf (see `plane_slopes`).
+    The extremes sit at the two stationary slopes; at nu = 0 the same
+    expressions give the values at k = 0 and at the axis-parallel limit
+    k = inf (see `plane_slopes`).
     """
-    beta_zero = abs(be) <= _BETA_EPS
-    s = _sqrt(al * al + be * be)
-    den = 1.0 - radius * (1.0 + ga) * (2.0 * al + radius * be * be * (1.0 + ga))
-    num = 1.0 - ga - radius * radius * be * be * (1.0 + ga) - radius * al * (2.0 - ga * ga)
-    lo = (num - radius * ga * ga * s) / den
-    hi = (num + radius * ga * ga * s) / den
-    p0 = (1.0 - ga - 2.0 * radius * al) / (1.0 - 2.0 * radius * al * (1.0 + ga))
-    lim = 1.0 - ga
-    falls = al < -_BETA_EPS  # threshold at k = 0 above the axis-parallel limit
-    rises = al > _BETA_EPS
-    lo = _select(beta_zero, _select(rises, p0, lim), lo)
-    hi = _select(beta_zero, _select(falls, p0, lim), hi)
-    return lo, hi
+    # (num -+ gamma^2 sqrt(mu^2 + nu^2)) / den, updated in place as in
+    # `reduce_planes`
+    opg = 1.0 + ga
+    nu2 = nu * nu
+    spread = _sqrt(mu * mu + nu2)
+    nu2 *= opg
+    g2 = ga * ga
+    spread *= g2
+    num = 1.0 - ga - nu2 - mu * (2.0 - g2)
+    den = 2.0 * mu + nu2
+    den *= -opg
+    den += 1.0
+    del opg, nu2, g2
+    lo = num - spread
+    lo /= den
+    num += spread
+    num /= den
+    return lo, num
 
 
-def plane_slopes(al, be):
+def plane_slopes(mu, nu):
     """Chord slopes (k_at_min, k_at_max) at which `plane_bounds` are attained.
 
-    k = inf stands for the axis-parallel limit.
+    With nu = 0 the threshold is monotone in k^2, so they are k = 0 and the
+    axis-parallel limit, written k = inf.
     """
-    beta_zero = abs(be) <= _BETA_EPS
-    s = _sqrt(al * al + be * be)
-    be_safe = _select(beta_zero, 1.0, be)
-    k_min = (-al + s) / be_safe
-    k_max = (-al - s) / be_safe
-    falls = al < -_BETA_EPS
+    beta_zero = abs(nu) <= _BETA_EPS
+    s = _sqrt(mu * mu + nu * nu)
+    nu_safe = _select(beta_zero, 1.0, nu)
+    k_min = (-mu + s) / nu_safe
+    k_max = (-mu - s) / nu_safe
+    falls = mu < -_BETA_EPS  # threshold at k = 0 above the axis-parallel limit
     k_min = _select(beta_zero, _select(falls, np.inf, 0.0), k_min)
     k_max = _select(beta_zero, _select(falls, 0.0, np.inf), k_max)
     return k_min, k_max
 
 
-def pencil_threshold(al, be, ga, radius, u, v, db):
-    """Threshold p(k_b) of each plane at the chord slope of b, db = b - p.
-
-    Returns (threshold, valid); planes where b is not on the u > 0 side of p
-    are invalid.
-    """
-    ub = db[0] * u[0] + db[1] * u[1] + db[2] * u[2]
-    vb = db[0] * v[0] + db[1] * v[1] + db[2] * v[2]
-    valid = ub > _R2_EPS
-    k = vb / _select(valid, ub, 1.0)
-    sig = al + k * be
-    thresh = ((1.0 + k * k) * (1.0 - ga) - 2.0 * radius * sig) / (
-        1.0 + k * k - 2.0 * radius * (1.0 + ga) * sig
-    )
-    return thresh, valid
+def pencil_threshold(mu, nu, ga, k):
+    """Threshold p(k) of each plane at chord slope k."""
+    sig = mu + k * nu
+    kk = 1.0 + k * k
+    return (kk * (1.0 - ga) - 2.0 * sig) / (kk - 2.0 * (1.0 + ga) * sig)
 
 
 def pencil_normals(e1, e2, ts):
     """Components of the normals cos(t) e1 + sin(t) e2."""
-    ct, st = np.cos(ts), np.sin(ts)
+    if isinstance(ts, np.ndarray):
+        ct, st = np.cos(ts), np.sin(ts)
+    else:
+        ct, st = math.cos(ts), math.sin(ts)
     return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
 
 
@@ -167,13 +228,14 @@ def scan_bounds(minv, centre, p, normals):
     Planes pass through the contact point p of the ellipsoid (inverse shape
     matrix `minv`, centre `centre`); near-tangent planes come back invalid.
     """
-    minv = np.asarray(minv, dtype=float)
-    p = np.asarray(p, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    g = minv @ (p - centre)
-    al, be, ga, radius, _, _, valid = reduce_planes(minv, g, p, *normals.T)
-    lo, hi = plane_bounds(al, be, ga, radius)
-    return np.where(valid, lo, 0.0), np.where(valid, hi, 0.0), valid
+    q, mp, gp = contact_frame(minv, centre, p)
+    x, y, d = q @ np.asarray(normals, dtype=float).T
+    mu, nu, ga, _, valid = reduce_planes(mp.tolist(), gp.tolist(), x, y, d)
+    lo, hi = plane_bounds(mu, nu, ga)
+    # masked planes reduce to mu = nu = gamma = 0, whose bounds are finite
+    lo *= valid
+    hi *= valid
+    return lo, hi, valid
 
 
 def scan_pencil(minv, centre, p, b, e1, e2, ts):
@@ -181,16 +243,15 @@ def scan_pencil(minv, centre, p, b, e1, e2, ts):
     containing the line through p and b.
 
     The pencil is parametrized by normals cos(t) e1 + sin(t) e2 with (e1, e2)
-    orthonormal and orthogonal to b - p.
+    orthonormal and orthogonal to b - p. Planes where b is not on the u > 0
+    side of p come back invalid, as do near-tangent planes.
     """
-    minv = np.asarray(minv, dtype=float)
-    p = np.asarray(p, dtype=float)
-    g = minv @ (p - centre)
-    normals = pencil_normals(e1, e2, np.asarray(ts, dtype=float))
-    al, be, ga, radius, u, v, valid = reduce_planes(minv, g, p, *normals)
-    thresh, valid_b = pencil_threshold(al, be, ga, radius, u, v, np.asarray(b, dtype=float) - p)
+    q, mp, gp = contact_frame(minv, centre, p)
+    x, y, d = pencil_normals(q @ e1, q @ e2, np.asarray(ts, dtype=float))
+    mu, nu, ga, r2, valid = reduce_planes(mp.tolist(), gp.tolist(), x, y, d)
+    k, valid_b = chord_slope(x, y, d, r2, q @ (np.asarray(b, dtype=float) - p))
     valid = valid & valid_b
-    return np.where(valid, thresh, 0.0), valid
+    return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
 
 
 # ---------------------------------------------------------------------------

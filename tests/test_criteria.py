@@ -148,16 +148,19 @@ def test_shared_reduction_matches_eigen_path(seed):
     e2 = np.cross(d, e1)
     ts = np.linspace(0.0, np.pi, 24, endpoint=False)
     minv = ell.inverse_shape_matrix()
-    g = minv @ (p - ell.centre)
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
     thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
     for t, thr, ok in zip(ts, thresh, valid):
         normal = np.cos(t) * e1 + np.sin(t) * e2
         section = plane_section(ell, p, normal)
         hom = homology(section.m, section.n, section.delta, section.R, check=False)
-        al, be, ga, radius, _, _, ok_plane = kernels.reduce_planes(minv, g, p, *normal)
+        mu, nu, ga, r2, ok_plane = kernels.reduce_planes(mp, gp, *(q @ normal))
         assert ok_plane
         np.testing.assert_allclose(
-            [al, be, ga, radius], [hom.alpha, hom.beta, hom.gamma, hom.R], rtol=0, atol=1e-9
+            [mu, nu, ga, np.sqrt(r2)],
+            [hom.R * hom.alpha, hom.R * hom.beta, hom.gamma, hom.R],
+            rtol=0,
+            atol=1e-9,
         )
         b_local = section.to_plane(b)
         assert ok == (b_local[0] > 1e-12)

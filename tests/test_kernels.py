@@ -1,10 +1,14 @@
-"""Triangle sweep and the closed-form per-plane bounds."""
+"""Triangle sweep, the contact-frame plane reduction and the closed-form
+per-plane bounds."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from steerell import kernels
+from steerell import ellipsoid_from_geometry, kernels, sampling
 
 
 def _triangle_inputs(seed):
@@ -64,8 +68,8 @@ def test_bounds_closed_form_is_extremal(al, be, ga, radius):
     # nested sections, so poles are excluded up front
     disc = (radius * (1 + ga) * be) ** 2 - (1 - 2 * radius * (1 + ga) * al)
     assume(disc < -1e-3)
-    lo, hi = kernels.plane_bounds(al, be, ga, radius)
-    k_min, k_max = kernels.plane_slopes(al, be)
+    lo, hi = kernels.plane_bounds(radius * al, radius * be, ga)
+    k_min, k_max = kernels.plane_slopes(radius * al, radius * be)
     ks = np.tan(np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, 801))
 
     def threshold(k):
@@ -79,3 +83,105 @@ def test_bounds_closed_form_is_extremal(al, be, ga, radius):
     for k, want in ((k_min, lo), (k_max, hi)):
         got = 1 - ga if np.isinf(k) else threshold(k)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(
+    al=st.floats(-0.8, 0.8, allow_nan=False),
+    be=st.sampled_from([0.0, 1e-13, -1e-13]),
+    ga=st.floats(0.05, 0.95, allow_nan=False),
+    radius=st.floats(0.1, 1.0, allow_nan=False),
+)
+@example(al=0.3, be=0.0, ga=0.5, radius=0.5)  # alpha > 0
+@example(al=-0.3, be=1e-13, ga=0.5, radius=0.5)  # alpha < 0
+@example(al=0.0, be=-1e-13, ga=0.5, radius=0.5)  # alpha = 0
+@settings(max_examples=200, deadline=None)
+def test_bounds_at_beta_zero_equal_the_slope_zero_and_limit_values(al, be, ga, radius):
+    # plane_bounds has no beta = 0 branch: at beta = 0 its general formula
+    # must give the threshold at k = 0 and the axis-parallel limit, ordered
+    # by the sign of alpha
+    den0 = 1 - 2 * radius * al * (1 + ga)
+    assume(den0 > 1e-3)  # nested sections only
+    p0 = (1 - ga - 2 * radius * al) / den0
+    lim = 1 - ga
+    lo = p0 if al > 1e-12 else lim
+    hi = p0 if al < -1e-12 else lim
+    got = kernels.plane_bounds(radius * al, radius * be, ga)
+    assert got == pytest.approx((lo, hi), rel=1e-12, abs=1e-12)
+
+
+def _fraction_sqrt(x, digits=40):
+    scale = 10**digits
+    return Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
+
+
+def _world_frame_reduction(minv, centre, p, normal):
+    """(R alpha, R beta, gamma) from the world-frame formulas u = (d n - p)/R,
+    v = n x u, in exact rational arithmetic on the given floats; the normal
+    is scaled to unit length and R = sqrt(1 - d^2) taken to 40 digits."""
+
+    def dot(a, b):
+        return sum(s * t for s, t in zip(a, b))
+
+    m = [[Fraction(v) for v in row] for row in minv.tolist()]
+    p = [Fraction(v) for v in p.tolist()]
+    g = [dot(row, [s - Fraction(c) for s, c in zip(p, centre.tolist())]) for row in m]
+    n = [Fraction(v) for v in normal.tolist()]
+    norm = _fraction_sqrt(dot(n, n))
+    n = [v / norm for v in n]
+    d = dot(n, p)
+    radius = _fraction_sqrt(1 - d * d)
+    u = [(d * s - t) / radius for s, t in zip(n, p)]
+    v = [n[1] * u[2] - n[2] * u[1], n[2] * u[0] - n[0] * u[2], n[0] * u[1] - n[1] * u[0]]
+    mv = [dot(row, v) for row in m]
+    auu = dot(u, [dot(row, u) for row in m])
+    auv, avv = dot(u, mv), dot(v, mv)
+    return np.array([float((1 - auu / avv) / 2), float(-auv / avv), float(-dot(u, g) / (radius * avv))])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduction_is_accurate_near_the_tangent_plane(seed):
+    # planes at circle radius R from the contact point: the contact-frame
+    # reduction must match the world-frame formulas in exact arithmetic on
+    # the same float normal; evaluated in floats, those formulas lose
+    # about eps/R^2 (2e-8 at R = 1e-4, 2e-6 at R = 1e-5) and fail this
+    rng = np.random.default_rng(seed)
+    ell, p = sampling.random_tangent_ellipsoid(rng)
+    minv = ell.inverse_shape_matrix()
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+    for radius in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+        for _ in range(4):
+            w = rng.standard_normal(3)
+            w -= (w @ p) * p
+            w /= np.linalg.norm(w)
+            normal = np.sqrt(1.0 - radius * radius) * p + radius * w
+            mu, nu, ga, r2, valid = kernels.reduce_planes(mp, gp, *(q @ normal))
+            assert valid
+            want = _world_frame_reduction(minv, ell.centre, p, normal)
+            err = np.abs(np.array([mu, nu, ga]) - want) / np.maximum(np.abs(want), 1.0)
+            assert err.max() <= 1e-9, (radius, err)
+
+
+@pytest.mark.parametrize("shape", ["random", "sphere"])
+def test_masked_planes_are_invalid_zero_and_warning_free(shape):
+    # normals +-p give the tangent plane at p and one within 1e-7 of p is
+    # too close to it to reduce; both kernels must mask them without a
+    # RuntimeWarning (the suite turns those into errors). On the sphere
+    # touching at p = e_z the normals +-p have x = y = 0 exactly, so V = 0.
+    if shape == "random":
+        ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(0))
+    else:
+        ell, p = ellipsoid_from_geometry([0.0, 0.0, 0.5], [0.5, 0.5, 0.5]), np.array([0.0, 0.0, 1.0])
+    minv = ell.inverse_shape_matrix()
+    w = np.cross(p, [1.0, 0.0, 0.0])
+    w /= np.linalg.norm(w)
+    near = p + 1e-7 * w
+    near /= np.linalg.norm(near)
+    lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, np.array([p, -p, near, w]))
+    assert valid.tolist() == [False, False, False, True]
+    assert lo[:3].tolist() == [0.0] * 3 and hi[:3].tolist() == [0.0] * 3
+    assert np.isfinite([lo[3], hi[3]]).all() and lo[3] <= hi[3]
+    # the pencil with e1 = p holds the normals p, -p and near p at these t
+    b = p + 0.1 * np.cross(p, w)
+    thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, p, w, [0.0, np.pi, 1e-7])
+    assert valid.tolist() == [False] * 3
+    assert thresh.tolist() == [0.0] * 3
