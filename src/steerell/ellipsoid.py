@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateEllipsoid, NotOnSurface, TangentPlane, EmptySection
 from .paulicore import TwoQubitState
 from .tolerances import TOL_GEOM, TOL_ROOT
@@ -199,7 +200,14 @@ def tangency(ell: SteeringEllipsoid, *, tol_root: float = TOL_ROOT) -> TangencyR
     e = ell.quadric()
     roots = np.linalg.eigvals(_S4 @ e)
     kr = np.sort(roots.real)
-    scale = max(1.0, float(np.abs(kr).max()))
+    # Rounding splits a double root kappa by about sqrt(eps |kr|_max kappa).
+    # For a nearly flat ellipsoid (smallest semiaxis c) the largest root alone
+    # grows like 1/c^2, and a tolerance proportional to it called every root
+    # zero or clustered. The geometric mean of the two largest magnitudes is
+    # close to the largest for a round ellipsoid, grows only like 1/c for a
+    # flat one, and still bounds sqrt(|kr|_max kappa) for the lower roots.
+    mags = np.sort(np.abs(kr))
+    scale = float(np.sqrt(max(1.0, mags[2]) * max(1.0, mags[3])))
     tau = tol_root * scale
 
     def report(status, csize, kdim, point=None):
@@ -359,7 +367,7 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
     if radius <= tol:
         raise TangentPlane("plane is the common tangent plane at the contact point")
     u_axis = (d * nrm - p) / radius
-    v_axis = np.cross(nrm, u_axis)
+    v_axis = kernels.cross3(nrm, u_axis)
 
     grad = minv @ (p - ell.centre)
     a_uu = u_axis @ minv @ u_axis

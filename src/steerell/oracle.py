@@ -134,7 +134,7 @@ def assemblage_from_geometry(
     seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = seed - (seed @ d) * d
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
+    e2 = kernels.cross3(d, e1)
     normal = np.cos(plane_angle) * e1 + np.sin(plane_angle) * e2
     section = plane_section(ell, p, normal)
 
@@ -190,7 +190,7 @@ def _section_conic(section: PlaneSection) -> np.ndarray:
 
 
 def _assemble(ell, p, b, prob_pure, s_minus0_3d, probs1, s_plus1_3d, s_minus1_3d):
-    normal = np.cross(s_plus1_3d - p, s_minus1_3d - p)
+    normal = kernels.cross3(s_plus1_3d - p, s_minus1_3d - p)
     scale = max(np.linalg.norm(s_plus1_3d - p), np.linalg.norm(s_minus1_3d - p))
     if np.linalg.norm(normal) < 1e-10 * max(scale * scale, 1e-12):
         raise CollinearSteeredStates("second measurement steers along the pb line")

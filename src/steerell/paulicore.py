@@ -31,6 +31,9 @@ _I2 = np.eye(2, dtype=complex)
 # _PAULI_BASIS[i, j] = sigma_i (x) sigma_j with sigma_0 = I
 _SIGMA = np.concatenate([_I2[None], PAULI])
 _PAULI_BASIS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+# row 4i + j holds sigma_i (x) sigma_j transposed, so that
+# _PAULI_ROWS @ rho.ravel() lists tr(rho sigma_i (x) sigma_j)
+_PAULI_ROWS = _PAULI_BASIS.transpose(0, 1, 3, 2).reshape(16, 16)
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,8 @@ def state_from_density(rho, *, tol: float = TOL_PSD) -> TwoQubitState:
     eigs = np.linalg.eigvalsh(rho)
     if eigs[0] < -tol:
         raise NonPhysical(eigs[0])
-    a = np.array([np.trace(rho @ np.kron(PAULI[i], _I2)).real for i in range(3)])
-    b = np.array([np.trace(rho @ np.kron(_I2, PAULI[i])).real for i in range(3)])
-    T = np.array(
-        [[np.trace(rho @ np.kron(PAULI[i], PAULI[j])).real for j in range(3)] for i in range(3)]
-    )
-    return TwoQubitState(a=a, b=b, T=T)
+    coeff = (_PAULI_ROWS @ rho.ravel()).real.reshape(4, 4)
+    return TwoQubitState(a=coeff[1:, 0].copy(), b=coeff[0, 1:].copy(), T=coeff[1:, 1:].copy())
 
 
 def steered_ensemble(state: TwoQubitState, axis, *, tol: float = TOL_PROB) -> SteeredEnsemble:

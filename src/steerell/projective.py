@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import AtInfinity, NotNested
 from .tolerances import TOL_GEOM
 
@@ -191,13 +192,13 @@ def chord_h_point(m: float, n: float, delta: float, radius: float, b, t: float) 
 
     c1 = lift(e1)
     c2 = lift(e2)
-    line_pb = np.cross(np.array([b[0], b[1], 1.0]), np.array([0.0, 0.0, 1.0]))
+    line_pb = kernels.cross3(np.array([b[0], b[1], 1.0]), np.array([0.0, 0.0, 1.0]))
     line_pb = line_pb / np.linalg.norm(line_pb)
     l1 = np.array([c1[0], c1[1], 1.0])
     l2 = np.array([c2[0], c2[1], 1.0])
-    line_cc = np.cross(l1 / np.linalg.norm(l1), l2 / np.linalg.norm(l2))
+    line_cc = kernels.cross3(l1 / np.linalg.norm(l1), l2 / np.linalg.norm(l2))
     line_cc = line_cc / np.linalg.norm(line_cc)
-    hpt = np.cross(line_pb, line_cc)
+    hpt = kernels.cross3(line_pb, line_cc)
     if abs(hpt[2]) < 1e-12 * np.linalg.norm(hpt):
         raise AtInfinity("chord construction degenerates for this t")
     return hpt[:2] / hpt[2]

@@ -47,7 +47,7 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
 def _kernel_tangent_density(rng: np.random.Generator) -> np.ndarray:
     phi = random_ket(rng)
     chi = random_ket(rng)
-    k = np.kron(phi, chi).reshape(4, 1)
+    k = np.outer(phi, chi).reshape(4, 1)
     u, _, _ = np.linalg.svd(k, full_matrices=True)
     basis = u[:, 1:]
     small = random_density_matrix(rng, 3, 3)

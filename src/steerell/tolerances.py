@@ -13,7 +13,8 @@ TOL_GEOM = 1e-9
 # probabilities and convex weights
 TOL_PROB = 1e-12
 
-# coincidence of characteristic roots (relative to root magnitude)
+# coincidence of characteristic roots (relative to the root scale in
+# ellipsoid.tangency)
 TOL_ROOT = 1e-7
 
 # verdicts with |margin| below this band are reported indeterminate

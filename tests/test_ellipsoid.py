@@ -105,6 +105,41 @@ def test_no_contact_for_interior_ellipsoid():
     assert tangency(ell).status == NO_CONTACT
 
 
+# Full-rank states whose ellipsoids are nearly flat and lie inside the sphere:
+# semiaxes (0.580, 0.274, 3.89e-5), roots [1.21, 2.48, 13.3, 6.58e8], and
+# semiaxes (0.634, 0.148, 6.01e-5), roots [1.25, 2.12, 44.8, 2.63e8]. A root
+# tolerance proportional to the largest root called the first root zero.
+FLAT_INTERIOR_STATES = [
+    (
+        [0.0846053604431056, -0.1182410261844152, 0.16243448363918883],
+        [-0.18103214521572134, 0.07721812715185072, 0.1474064288750624],
+        [
+            [0.2148358490993354, -0.14169283579847303, -0.37137784280930597],
+            [0.04072541586425677, -0.028666593915373184, -0.050944387029795125],
+            [0.17025460118118133, 0.23128030187061194, -0.24231864866302866],
+        ],
+    ),
+    (
+        [-0.24353879238933793, -0.08682491029735724, 0.500463073699789],
+        [-0.30185700248729497, 0.21815326757354725, -0.10061515937157439],
+        [
+            [-0.2421486694529223, 0.0017928429548441788, -0.2658513068864173],
+            [0.18894569322543664, 0.006564301060703992, 0.06765386370844016],
+            [-0.3843344036981329, 0.08466968763988993, -0.1549775435108549],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("a, b, T", FLAT_INTERIOR_STATES)
+def test_no_contact_for_nearly_flat_interior_ellipsoid(a, b, T):
+    ell = steering_ellipsoid(state_from_pauli(a, b, T))
+    assert ell.semiaxes[2] < 1e-4 and not ell.zero_volume
+    rep = tangency(ell)
+    assert rep.roots[3] > 1e8
+    assert rep.status == NO_CONTACT
+
+
 def test_two_pole_contact_is_multi():
     # major axis spans a full diameter: contact at both ends
     ell = ellipsoid_from_geometry([0, 0, 0], [1.0, 0.5, 0.4])

@@ -1,5 +1,5 @@
-"""Triangle sweep, the contact-frame plane reduction and the closed-form
-per-plane bounds."""
+"""Triangle sweep, the cross product, the contact-frame plane reduction and
+the closed-form per-plane bounds."""
 import math
 from fractions import Fraction
 
@@ -55,6 +55,18 @@ def test_grid_validation():
         kernels.triangle_sweep(*args, 1)
 
 
+def test_cross3_equals_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((1000, 3)) * 10.0 ** rng.uniform(-8, 8, (1000, 1))
+    b = rng.standard_normal((1000, 3)) * 10.0 ** rng.uniform(-8, 8, (1000, 1))
+    b[:100] = a[:100] * rng.uniform(-3, 3, (100, 1))  # parallel and antiparallel
+    b[100:150] = 0.0
+    a[150:200] = 0.0
+    b[200:250] = a[200:250]
+    for x, y in zip(a, b):
+        assert np.array_equal(kernels.cross3(x, y), np.cross(x, y))
+
+
 @given(
     al=st.floats(-0.8, 0.8, allow_nan=False),
     be=st.floats(-0.8, 0.8, allow_nan=False),
@@ -94,19 +106,18 @@ def test_bounds_closed_form_is_extremal(al, be, ga, radius):
 @example(al=0.3, be=0.0, ga=0.5, radius=0.5)  # alpha > 0
 @example(al=-0.3, be=1e-13, ga=0.5, radius=0.5)  # alpha < 0
 @example(al=0.0, be=-1e-13, ga=0.5, radius=0.5)  # alpha = 0
+@example(al=1e-12, be=0.0, ga=0.75, radius=1.0)  # p0 = lim - 1.1e-12
 @settings(max_examples=200, deadline=None)
 def test_bounds_at_beta_zero_equal_the_slope_zero_and_limit_values(al, be, ga, radius):
     # plane_bounds has no beta = 0 branch: at beta = 0 its general formula
     # must give the threshold at k = 0 and the axis-parallel limit, ordered
-    # by the sign of alpha
+    # by the sign of alpha (the threshold is monotone in k^2 between them)
     den0 = 1 - 2 * radius * al * (1 + ga)
     assume(den0 > 1e-3)  # nested sections only
     p0 = (1 - ga - 2 * radius * al) / den0
     lim = 1 - ga
-    lo = p0 if al > 1e-12 else lim
-    hi = p0 if al < -1e-12 else lim
     got = kernels.plane_bounds(radius * al, radius * be, ga)
-    assert got == pytest.approx((lo, hi), rel=1e-12, abs=1e-12)
+    assert got == pytest.approx((min(p0, lim), max(p0, lim)), rel=1e-12, abs=1e-12)
 
 
 def _fraction_sqrt(x, digits=40):

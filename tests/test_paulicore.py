@@ -55,6 +55,24 @@ def test_pauli_density_round_trip(seed):
     npt.assert_allclose(back.T, state.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_state_from_density_matches_per_term_traces(rank):
+    rng = np.random.default_rng(rank)
+    sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+    for _ in range(25):
+        rho = sampling.random_density_matrix(rng, 4, rank)
+        ref = np.array([[np.trace(rho @ np.kron(sigma[i], sigma[j])).real for j in range(4)] for i in range(4)])
+        state = state_from_density(rho)
+        npt.assert_allclose(state.a, ref[1:, 0], rtol=0, atol=1e-15)
+        npt.assert_allclose(state.b, ref[0, 1:], rtol=0, atol=1e-15)
+        npt.assert_allclose(state.T, ref[1:, 1:], rtol=0, atol=1e-15)
+        # a, b and T own their data: writing one leaves the others alone
+        b, T = state.b.copy(), state.T.copy()
+        state.a[:] = 7.0
+        npt.assert_array_equal(state.b, b)
+        npt.assert_array_equal(state.T, T)
+
+
 def test_nonphysical_x_parameters_rejected():
     # diag correlations (0.6, 0.4, 0.7) with a=0.2, b=0.5 reconstruct to a
     # matrix with a negative eigenvalue; the constructor must refuse it
