@@ -9,10 +9,10 @@ Subcommands:
   oracle-compare  randomized cross-check of the margin criterion against the
                   in-plane triangle oracle
 
-Exit codes: 0 success, 1 file or argument errors, 2 unphysical state,
-3 the scenario does not apply (no single sphere contact, a zero-volume
-ellipsoid, a pure Alice marginal, or b at the contact point). All output is
-deterministic for fixed inputs.
+Exit codes: 0 success, 1 file or argument errors (argparse usage errors
+included), 2 unphysical state, 3 the scenario does not apply (no single
+sphere contact, a zero-volume ellipsoid, a pure Alice marginal, or b at the
+contact point). All output is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,13 +59,19 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(payload, out_path):
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
-    if out_path:
+def _write(text, out_path):
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {out_path}: {exc}")
+
+
+def _emit(payload, out_path):
+    _write(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _load_state(path, tol):
@@ -185,16 +192,7 @@ def cmd_section(args):
     if report.status != SINGLE_TANGENT:
         sys.stderr.write(f"contact classification is {report.status}\n")
         return EXIT_NO_TANGENCY
-    try:
-        normal = np.array([float(x) for x in args.normal.split(",")])
-        if normal.shape != (3,):
-            raise ValueError
-    except ValueError:
-        raise _CliError(EXIT_USAGE, f"--normal must be three comma-separated numbers, got {args.normal!r}")
-    norm = np.linalg.norm(normal)
-    if norm == 0:
-        raise _CliError(EXIT_USAGE, "--normal must be nonzero")
-    section = plane_section(ell, report.point, normal / norm)
+    section = plane_section(ell, report.point, args.normal)
     b_local = section.to_plane(state.b)
     verdict = criteria.steerable_in_plane(section, b_local)
     bounds = criteria.p_bounds_in_plane(section)
@@ -225,9 +223,12 @@ def _parse_params(pairs):
         try:
             name, rng = pair.split("=", 1)
             start, stop, count = rng.split(":")
-            grids[name] = np.linspace(float(start), float(stop), int(count))
+            start, stop = float(start), float(stop)
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError
+            grids[name] = np.linspace(start, stop, int(count))
         except ValueError:
-            raise _CliError(EXIT_USAGE, f"bad --param {pair!r}, expected name=start:stop:count")
+            raise _CliError(EXIT_USAGE, f"bad --param {pair!r}, expected name=start:stop:count with finite ends")
     return grids
 
 
@@ -321,12 +322,7 @@ def cmd_family_sweep(args):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_csv_cell(row[key]) for key in header])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -400,8 +396,49 @@ def cmd_oracle_compare(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but exit 2 means an unphysical
+    state here; usage errors exit 1, like every other argument error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
+    return parse
+
+
+def _non_negative(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
+def _normal(text):
+    try:
+        normal = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        normal = None
+    if normal is None or normal.shape != (3,):
+        raise argparse.ArgumentTypeError(f"must be three comma-separated numbers, got {text!r}")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(normal))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonzero, with a finite length, got {text!r}")
+    return normal / norm
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steerell",
         description="steering-ellipsoid analysis of two-qubit states in the "
         "two-measurement, one-pure-steered-state scenario",
@@ -411,13 +448,13 @@ def build_parser():
     def add_common(sp, state=True):
         if state:
             sp.add_argument("--state", required=True, help="JSON state file")
-        sp.add_argument("--tol", type=float, default=1e-9, help="positivity tolerance")
+        sp.add_argument("--tol", type=_non_negative, default=1e-9, help="positivity tolerance")
         sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     sp = sub.add_parser("analyze", help="full steerability report for one state")
     add_common(sp)
-    sp.add_argument("--planes", type=int, default=180, help="pencil resolution")
-    sp.add_argument("--band", type=float, default=BOUNDARY_BAND, help="indeterminate margin band")
+    sp.add_argument("--planes", type=_int_at_least(1), default=180, help="pencil resolution")
+    sp.add_argument("--band", type=_non_negative, default=BOUNDARY_BAND, help="indeterminate margin band")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("tangency", help="sphere-contact classification")
@@ -426,21 +463,21 @@ def build_parser():
 
     sp = sub.add_parser("section", help="plane-section parameters for a normal")
     add_common(sp)
-    sp.add_argument("--normal", required=True, help="plane normal as x,y,z")
+    sp.add_argument("--normal", type=_normal, required=True, help="plane normal as x,y,z")
     sp.set_defaults(func=cmd_section)
 
     sp = sub.add_parser("family-sweep", help="CSV sweep over a closed-form family")
     sp.add_argument("--family", required=True, choices=["obese", "sphere", "spheroid", "xstate"])
     sp.add_argument("--param", action="append", help="grid override name=start:stop:count")
-    sp.add_argument("--planes", type=int, default=90, help="pencil resolution per row")
+    sp.add_argument("--planes", type=_int_at_least(1), default=90, help="pencil resolution per row")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_family_sweep)
 
     sp = sub.add_parser("oracle-compare", help="randomized margin-vs-triangle cross-check")
-    sp.add_argument("--n", type=int, default=1000, help="number of sampled tangent states")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--grid", type=int, default=2000, help="triangle sweep resolution")
-    sp.add_argument("--band", type=float, default=1e-8, help="margin exclusion band")
+    sp.add_argument("--n", type=_int_at_least(0), default=1000, help="number of sampled tangent states")
+    sp.add_argument("--seed", type=_int_at_least(0), default=42)
+    sp.add_argument("--grid", type=_int_at_least(2), default=2000, help="triangle sweep resolution")
+    sp.add_argument("--band", type=_non_negative, default=1e-8, help="margin exclusion band")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_oracle_compare)
 
@@ -449,7 +486,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
     try:
         return args.func(args)
     except _CliError as exc:

@@ -17,6 +17,7 @@ p > p_max is sufficient and p > p_min necessary for steerability.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -273,6 +274,29 @@ def _normal_from_angles(theta, phi):
     return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
+@functools.lru_cache(maxsize=4)
+def _hemisphere_grid(n_theta: int, n_phi: int):
+    """(thetas, phis, normals) of the full-sphere scan, read-only.
+
+    n and -n give the same plane, so the grid covers the upper hemisphere of
+    the (n_theta, n_phi) grid of normals, plus the equator row when n_theta
+    is odd. It depends on the resolution alone, so it is built once for each.
+    """
+    thetas = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
+    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    sin_t = np.sin(thetas)[:, None]
+    comp = np.empty((3, len(thetas), n_phi))
+    comp[0] = sin_t * np.cos(phis)
+    comp[1] = sin_t * np.sin(phis)
+    comp[2] = np.cos(thetas)[:, None]
+    # an (n, 3) view of contiguous component rows, which the kernel rotates
+    # into the contact frame with one matrix product per block
+    normals = comp.reshape(3, -1).T
+    for arr in (thetas, phis, comp, normals):
+        arr.flags.writeable = False
+    return thetas, phis, normals
+
+
 def p_bounds(
     ell: SteeringEllipsoid,
     *,
@@ -303,25 +327,16 @@ def p_bounds(
     mp_f, gp_f = mp.tolist(), gp.tolist()
     if b is None:
         n_theta, n_phi = resolution
-        # n and -n give the same plane: scan the upper hemisphere of the
-        # grid, plus the equator row when n_theta is odd
-        thetas = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
-        phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
-        sin_t = np.sin(thetas)[:, None]
-        comp = np.empty((3, len(thetas), n_phi))
-        comp[0] = sin_t * np.cos(phis)
-        comp[1] = sin_t * np.sin(phis)
-        comp[2] = np.cos(thetas)[:, None]
-        # an (n, 3) view of contiguous component rows, which the kernel
-        # rotates into the contact frame with one matrix product
-        normals = comp.reshape(3, -1).T
+        thetas, phis, normals = _hemisphere_grid(n_theta, n_phi)
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
-        lo = np.where(valid, lo, np.inf)
-        hi = np.where(valid, hi, -np.inf)
+        invalid = ~valid
+        lo[invalid] = np.inf
+        hi[invalid] = -np.inf
         imin = int(np.argmin(lo))
         imax = int(np.argmax(hi))
         p_min, p_max = float(lo[imin]), float(hi[imax])
-        arg_min, arg_max = normals[imin], normals[imax]
+        # copies: the grid is shared by every call at this resolution
+        arg_min, arg_max = normals[imin].copy(), normals[imax].copy()
 
         if refine:
             dth, dph = np.pi / n_theta, 2.0 * np.pi / n_phi

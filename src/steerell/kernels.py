@@ -14,9 +14,17 @@ refinement in `criteria.p_bounds`):
   pencil_threshold  per-plane threshold at the chord slope k of b
 
 Kernels:
-  scan_bounds     per-plane probability bounds over a grid of plane normals
+  scan_bounds     per-plane probability bounds over a grid of plane normals,
+                  evaluated in cache-sized blocks of planes
   scan_pencil     per-plane steerability thresholds over the pencil through b
   triangle_sweep  brute-force search for a local-model triangle in a section
+
+The full-sphere scan runs in blocks because at tens of thousands of planes
+much of its cost was in memory, not arithmetic: whole-array temporaries of a
+few hundred KB each were mapped in and given back on every call (727-863
+minor page faults and a 4.45 MB traced peak per warm 180x360
+`criteria.p_bounds`, against 35-240 faults and 1.15 MB in blocks of 4,096;
+see `scan_bounds`).
 """
 from __future__ import annotations
 
@@ -222,19 +230,47 @@ def pencil_normals(e1, e2, ts):
     return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
 
 
+# planes per block of `scan_bounds`; see its docstring for how it was chosen
+SCAN_BLOCK = 4096
+
+
 def scan_bounds(minv, centre, p, normals):
     """Per-plane (p_min, p_max, valid) for the planes with the given unit normals.
 
     Planes pass through the contact point p of the ellipsoid (inverse shape
     matrix `minv`, centre `centre`); near-tangent planes come back invalid.
+    Returns float64, float64 and bool arrays of length len(normals).
+
+    The normals are evaluated in blocks of SCAN_BLOCK planes, each written
+    into the three output arrays, so that every temporary stays small and
+    the allocator reuses it. Evaluated whole, the 32,400-plane scan of
+    `criteria.p_bounds` at (180, 360) built about 3 MB of 259 KB temporaries
+    per call, which glibc returned to the OS after every call: a warm
+    unrefined `p_bounds` took 727-863 minor page faults and 1.3-1.9 ms of
+    system time per call and peaked at 4.45 MB under tracemalloc. In blocks
+    of 4,096 it takes 35-240 faults, depending on what the process
+    allocated before, and 0.1-0.6 ms of system time, and peaks at 1.15 MB.
+    At 4,096 planes the largest temporary, the rotated (3, block) normals,
+    is 96 KB, below glibc's default 128 KB mmap threshold; at 8,192 it is
+    192 KB, and a warm loop took about 380 faults a call. At 2,048 the
+    per-block Python overhead made the call 15-25% slower. Each plane's
+    arithmetic is unchanged, so the results are bit-identical to a
+    single-block evaluation.
     """
     q, mp, gp = contact_frame(minv, centre, p)
-    x, y, d = q @ np.asarray(normals, dtype=float).T
-    mu, nu, ga, _, valid = reduce_planes(mp.tolist(), gp.tolist(), x, y, d)
-    lo, hi = plane_bounds(mu, nu, ga)
-    # masked planes reduce to mu = nu = gamma = 0, whose bounds are finite
-    lo *= valid
-    hi *= valid
+    mp, gp = mp.tolist(), gp.tolist()
+    normals = np.asarray(normals, dtype=float)
+    n = len(normals)
+    lo, hi, valid = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for start in range(0, n, SCAN_BLOCK):
+        block = slice(start, start + SCAN_BLOCK)
+        x, y, d = q @ normals[block].T
+        mu, nu, ga, _, ok = reduce_planes(mp, gp, x, y, d)
+        lo_b, hi_b = plane_bounds(mu, nu, ga)
+        # masked planes reduce to mu = nu = gamma = 0, whose bounds are finite
+        np.multiply(lo_b, ok, out=lo[block])
+        np.multiply(hi_b, ok, out=hi[block])
+        valid[block] = ok
     return lo, hi, valid
 
 

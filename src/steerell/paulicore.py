@@ -105,6 +105,17 @@ def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
         raise ValueError(f"T must be 3x3, got shape {T.shape}")
     for name, x in (("a", a), ("b", b), ("T", T)):
         _require_finite(x, name)
+        # A Pauli coefficient x = tr(rho P) with |x| > 1 puts the weight
+        # (1 - |x|)/2 of rho on a rank-2 eigenspace of P, so the least
+        # eigenvalue is at most (1 - |x|)/4 and the test below would reject
+        # it too; rejecting it here keeps huge entries out of the density
+        # matrix, where they overflow.
+        big = float(np.abs(x).max())
+        if big > 1.0 + 4.0 * tol:
+            raise NonPhysical(
+                (1.0 - big) / 4.0,
+                f"{name} has an entry of magnitude {big:.3e}; every Pauli coefficient of a state lies in [-1, 1]",
+            )
     state = TwoQubitState(a=a, b=b, T=T)
     eigs = np.linalg.eigvalsh(state.density_matrix())
     if eigs[0] < -tol:

@@ -236,9 +236,49 @@ def test_family_sweep_rejects_bad_param(capsys):
 
 
 def test_family_sweep_rejects_unknown_family(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["family-sweep", "--family", "cube"])
-    capsys.readouterr()
+    code, out, err = _run(capsys, ["family-sweep", "--family", "cube"])
+    assert code == 1
+    assert out == ""
+    assert "--family" in err
+
+
+BAD_OPTION_VALUES = [
+    (["analyze", "--planes", "0"], "--planes"),
+    (["analyze", "--planes", "-3"], "--planes"),
+    (["analyze", "--planes", "abc"], "--planes"),
+    (["analyze", "--band", "-1e-9"], "--band"),
+    (["analyze", "--band", "nan"], "--band"),
+    (["family-sweep", "--family", "sphere", "--planes", "0"], "--planes"),
+    (["oracle-compare", "--grid", "0"], "--grid"),
+    (["oracle-compare", "--grid", "1"], "--grid"),
+    (["oracle-compare", "--n", "-1"], "--n"),
+    (["oracle-compare", "--seed", "-1"], "--seed"),
+    (["oracle-compare", "--band", "inf"], "--band"),
+    (["analyze", "--tol", "nan"], "--tol"),
+    (["tangency", "--tol", "inf"], "--tol"),
+    (["section", "--normal", "nan,0,1"], "--normal"),
+    (["section", "--normal", "1,inf,0"], "--normal"),
+    (["section", "--normal", "1e200,0,1"], "--normal"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option", BAD_OPTION_VALUES, ids=[" ".join(argv) for argv, _ in BAD_OPTION_VALUES]
+)
+def test_bad_option_values_exit_1_naming_the_option(capsys, obese_file, argv, option):
+    if argv[0] in ("analyze", "tangency", "section"):
+        argv = argv + ["--state", obese_file]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}:" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _err = _run(capsys, ["analyze", "--help"])
+    assert code == 0
+    assert "--planes" in out
 
 
 def test_oracle_compare_small_run(capsys):

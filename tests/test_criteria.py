@@ -322,3 +322,35 @@ def test_hemisphere_scan_loses_no_plane(resolution):
         assert out.p_min == pytest.approx(max(lo[valid].min(), 0.0), rel=0, abs=1e-12)
         assert out.p_max == pytest.approx(hi[valid].max(), rel=0, abs=1e-12)
         assert out.n_planes == valid[: rows * n_phi].sum()
+
+
+def test_full_sphere_bounds_peak_under_two_megabytes():
+    # the blocked scan keeps a warm (180, 360) call to small temporaries;
+    # evaluated as whole arrays it peaked at 4.45 MB
+    import tracemalloc
+
+    _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(4))
+    p_bounds(ell, p=rep.point)
+    tracemalloc.start()
+    try:
+        p_bounds(ell, p=rep.point)
+        tracemalloc.reset_peak()
+        p_bounds(ell, p=rep.point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_bounds_hand_out_normals_the_caller_may_write(refine):
+    # the grid of normals is shared by every call at one resolution, so the
+    # arg-normals must be copies
+    _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(8))
+    first = p_bounds(ell, p=rep.point, resolution=(7, 14), refine=refine)
+    want = (first.p_min, first.p_max, first.argmin_normal.tolist(), first.argmax_normal.tolist())
+    for normal in (first.argmin_normal, first.argmax_normal):
+        assert normal.flags.writeable
+        normal[:] = np.nan
+    again = p_bounds(ell, p=rep.point, resolution=(7, 14), refine=refine)
+    assert (again.p_min, again.p_max, again.argmin_normal.tolist(), again.argmax_normal.tolist()) == want

@@ -196,3 +196,60 @@ def test_masked_planes_are_invalid_zero_and_warning_free(shape):
     thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, p, w, [0.0, np.pi, 1e-7])
     assert valid.tolist() == [False] * 3
     assert thresh.tolist() == [0.0] * 3
+
+
+def _normals_around_block_edges(p, n, block):
+    # random unit normals with the masked planes p, -p and one within 1e-7
+    # of p placed on both sides of each block boundary
+    rng = np.random.default_rng(n)
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    w = np.cross(p, [1.0, 0.0, 0.0])
+    w /= np.linalg.norm(w)
+    near = p + 1e-7 * w
+    near /= np.linalg.norm(near)
+    for edge in range(0, n + 1, block):
+        for offset, normal in zip((-2, -1, 0, 1), (p, -p, near, p)):
+            if 0 <= edge + offset < n:
+                normals[edge + offset] = normal
+    return normals
+
+
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+    ids=["0", "1", "block-1", "block", "block+1", "3*block+5"],
+)
+def test_scan_bounds_blocks_match_one_block_bit_for_bit(monkeypatch, blocks, extra):
+    block = kernels.SCAN_BLOCK
+    n = blocks * block + extra
+    ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(3))
+    minv = ell.inverse_shape_matrix()
+    normals = _normals_around_block_edges(p, n, block)
+    got = kernels.scan_bounds(minv, ell.centre, p, normals)
+    monkeypatch.setattr(kernels, "SCAN_BLOCK", max(n, 1))
+    want = kernels.scan_bounds(minv, ell.centre, p, normals)
+    for g, w, dtype in zip(got, want, (np.float64, np.float64, np.bool_)):
+        assert g.dtype == w.dtype == dtype and g.shape == (n,)
+        assert np.array_equal(g, w)
+    if n > block:
+        assert not got[2][block - 2 : block + 2].any()
+
+
+@pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14)])
+def test_scan_bounds_blocks_match_one_block_on_full_grids(monkeypatch, resolution):
+    from steerell.criteria import _hemisphere_grid
+
+    normals = _hemisphere_grid(*resolution)[2]
+    # the shipped block, many short blocks (so that even the (7, 14) grid
+    # crosses edges) and, last, one block: the reference
+    blocks = (kernels.SCAN_BLOCK, 13, len(normals))
+    for seed in range(3):
+        ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(seed))
+        results = []
+        for block in blocks:
+            monkeypatch.setattr(kernels, "SCAN_BLOCK", block)
+            results.append(kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals))
+        for got in results[:-1]:
+            for g, w in zip(got, results[-1]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)

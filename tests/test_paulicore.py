@@ -81,6 +81,18 @@ def test_nonphysical_x_parameters_rejected():
     assert exc.value.min_eigenvalue == pytest.approx(-0.18600766, abs=1e-6)
 
 
+@pytest.mark.parametrize("big", [1.0 + 1e-6, 2.0, 1e308])
+def test_pauli_entries_outside_unit_interval_rejected_without_overflow(big):
+    # no state has |tr(rho P)| > 1; 1e308 used to overflow the density matrix
+    for a, b, T in (
+        ([0, 0, big], [0, 0, 0], np.zeros((3, 3))),
+        ([0, 0, 0], [0, 0, 0], np.diag([big, 0.0, 0.0])),
+    ):
+        with pytest.raises(NonPhysical) as exc:
+            state_from_pauli(a, b, T)
+        assert exc.value.min_eigenvalue < 0.0
+
+
 def test_nonphysical_tolerance_floor():
     # slightly negative eigenvalues inside the tolerance pass through
     state = state_from_pauli([0, 0, 0], [0, 0, 0], np.diag([1.0, -1.0, 1.0]))
