@@ -217,7 +217,11 @@ def cmd_section(args):
     return EXIT_OK
 
 
-def _parse_params(pairs):
+# the grid parameters each family-sweep family accepts through --param
+_FAMILY_PARAMS = {"obese": ("c",), "sphere": ("r",), "spheroid": ("m", "n"), "xstate": ("a", "b", "t")}
+
+
+def _parse_params(pairs, family):
     grids = {}
     for pair in pairs or []:
         try:
@@ -229,6 +233,12 @@ def _parse_params(pairs):
             grids[name] = np.linspace(start, stop, int(count))
         except ValueError:
             raise _CliError(EXIT_USAGE, f"bad --param {pair!r}, expected name=start:stop:count with finite ends")
+        names = _FAMILY_PARAMS.get(family, ())
+        if name not in names:
+            raise _CliError(
+                EXIT_USAGE,
+                f"unknown --param {name!r} for family {family!r}, expected one of: {', '.join(names)}",
+            )
     return grids
 
 
@@ -251,7 +261,7 @@ def _sweep_row(state, ell, p, b, planes, pencil_bounds):
 
 
 def cmd_family_sweep(args):
-    grids = _parse_params(args.param)
+    grids = _parse_params(args.param, args.family)
     planes = args.planes
     rows = []
     if args.family == "obese":
@@ -467,7 +477,7 @@ def build_parser():
     sp.set_defaults(func=cmd_section)
 
     sp = sub.add_parser("family-sweep", help="CSV sweep over a closed-form family")
-    sp.add_argument("--family", required=True, choices=["obese", "sphere", "spheroid", "xstate"])
+    sp.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
     sp.add_argument("--param", action="append", help="grid override name=start:stop:count")
     sp.add_argument("--planes", type=_int_at_least(1), default=90, help="pencil resolution per row")
     sp.add_argument("--out", default=None)

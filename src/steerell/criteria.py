@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,23 +251,68 @@ def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
 
 
-def _golden_minimize(fun, lo, hi, tol=1e-10):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+# golden-section fraction, sqrt(eps) and absolute tolerance of the line search
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+_XATOL = 1e-10
+
+
+def _brent_minimize(fun, lo, hi, x, fx):
+    """Minimise fun on [lo, hi] by Brent's bounded line search, started at x
+    with its known value fx = fun(x).
+
+    Parabolic steps through the three best points, safeguarded by
+    golden-section steps, as in scipy's `fminbound`, with tolerance
+    sqrt(eps) |x| + 1e-10 / 3. Returns the best (x, fun(x)) evaluated, so
+    never a worse point than the start. A parabola needs finite values:
+    near-tangent planes evaluate to +inf, and with one of those among the
+    three points the step is golden.
+    """
+    a, b = lo, hi
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+                golden = False
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fun(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _normal_from_angles(theta, phi):
@@ -317,8 +363,13 @@ def p_bounds(
     scanned and the per-plane threshold is evaluated at b's own chord slope,
     which bounds the thresholds actually faced by that reduced point.
 
-    Grid optima are polished by golden-section coordinate descent when
-    refine=True. The global minimum is clamped at 0.
+    With refine=True the grid extremes are polished by line searches
+    (`_brent_minimize`) that start at the grid point with its grid value, so
+    no refined bound is worse than the grid's. In full-sphere mode they
+    sweep theta then phi, each over +-1 grid cell about the current point,
+    at most 4 times and no further once a sweep fails to improve the value;
+    in pencil mode one search runs over +-1 cell of t. Planes with
+    R < 5e-3 count as +inf there. The global minimum is clamped at 0.
     """
     p = _resolve_contact(ell, p)
     minv = ell.inverse_shape_matrix()
@@ -357,19 +408,27 @@ def p_bounds(
                 return lo_s if which == 0 else -hi_s
 
             for which, idx in ((0, imin), (1, imax)):
-                th0, ph0 = thetas[idx // n_phi], phis[idx % n_phi]
-                for _ in range(3):
-                    th0, _v = _golden_minimize(
-                        lambda t: plane_value(t, ph0, which), th0 - dth, th0 + dth
+                th, ph = float(thetas[idx // n_phi]), float(phis[idx % n_phi])
+                best = val = p_min if which == 0 else -p_max
+                # sweep theta then phi, +-1 cell about the current point, until
+                # a sweep stops lowering the value; capped at 3 sweeps, p_min
+                # came out above that of three golden-section sweeps on about
+                # half of 300 random ellipsoids (by up to 4e-10), capped at 4
+                # by no more than rounding (2e-16)
+                for _ in range(4):
+                    th, val = _brent_minimize(
+                        lambda t: plane_value(t, ph, which), th - dth, th + dth, th, val
                     )
-                    ph0, _v = _golden_minimize(
-                        lambda f: plane_value(th0, f, which), ph0 - dph, ph0 + dph
+                    ph, val = _brent_minimize(
+                        lambda f: plane_value(th, f, which), ph - dph, ph + dph, ph, val
                     )
-                val = plane_value(th0, ph0, which)
+                    if not val < best:
+                        break
+                    best = val
                 if which == 0 and val < p_min:
-                    p_min, arg_min = float(val), np.array(_normal_from_angles(th0, ph0))
+                    p_min, arg_min = val, np.array(_normal_from_angles(th, ph))
                 elif which == 1 and -val > p_max:
-                    p_max, arg_max = float(-val), np.array(_normal_from_angles(th0, ph0))
+                    p_max, arg_max = -val, np.array(_normal_from_angles(th, ph))
         mode = "ellipsoid"
         n_planes = int(valid.sum())
     else:
@@ -392,22 +451,16 @@ def p_bounds(
             k, ok = kernels.chord_slope(x, y, d, r2, db_f)
             return sign * kernels.pencil_threshold(mu, nu, ga, k) if ok else np.inf
 
+        imin_t, imax_t = float(ts[imin]), float(ts[imax])
         if refine:
             dt = np.pi / n_t
-            t_min, v = _golden_minimize(lambda t: pencil_value(t, 1.0), ts[imin] - dt, ts[imin] + dt)
-            if v < p_min:
-                p_min = float(v)
-                imin_t = t_min
-            else:
-                imin_t = ts[imin]
-            t_max, v = _golden_minimize(lambda t: pencil_value(t, -1.0), ts[imax] - dt, ts[imax] + dt)
-            if -v > p_max:
-                p_max = float(-v)
-                imax_t = t_max
-            else:
-                imax_t = ts[imax]
-        else:
-            imin_t, imax_t = ts[imin], ts[imax]
+            imin_t, p_min = _brent_minimize(
+                lambda t: pencil_value(t, 1.0), imin_t - dt, imin_t + dt, imin_t, p_min
+            )
+            imax_t, v = _brent_minimize(
+                lambda t: pencil_value(t, -1.0), imax_t - dt, imax_t + dt, imax_t, -p_max
+            )
+            p_max = -v
         arg_min = np.array(kernels.pencil_normals(e1, e2, imin_t))
         arg_max = np.array(kernels.pencil_normals(e1, e2, imax_t))
         mode = "pencil"

@@ -141,9 +141,15 @@ def ellipsoid_from_geometry(centre, semiaxes, axes=None, *, state=None, tol: flo
 
 
 def _kernel_basis(mat, rel_tol=1e-6):
-    """Orthonormal basis of the numerical kernel and its dimension."""
+    """Orthonormal basis of the numerical kernel and its dimension.
+
+    The threshold is relative to the geometric mean of the two largest
+    singular values, as the root tolerance of `tangency` is: for a nearly
+    flat ellipsoid (smallest semiaxis c) the largest alone grows like 1/c^2,
+    and a threshold proportional to it counted real directions as kernel.
+    """
     _, sv, vt = np.linalg.svd(mat)
-    thresh = max(rel_tol * sv[0], 1e-13)
+    thresh = max(rel_tol * float(np.sqrt(sv[0] * sv[1])), 1e-13)
     dim = int(np.sum(sv <= thresh))
     if dim == 0:
         return 0, np.empty((4, 0))

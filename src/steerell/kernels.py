@@ -1,7 +1,7 @@
 """Per-plane formulas and the vectorized kernels built on them.
 
 Each formula has one implementation, written component-wise so that the same
-code takes arrays of planes (the scans) and Python floats (the golden-section
+code takes arrays of planes (the scans) and Python floats (the line-search
 refinement in `criteria.p_bounds`):
 
   contact_frame     rotation Q to the contact-point frame, M' and g' in it

@@ -235,6 +235,17 @@ def test_family_sweep_rejects_bad_param(capsys):
     assert "--param" in err
 
 
+@pytest.mark.parametrize(
+    "family, names", [("obese", ["c"]), ("sphere", ["r"]), ("spheroid", ["m", "n"]), ("xstate", ["a", "b", "t"])]
+)
+def test_family_sweep_rejects_unknown_param_name(capsys, family, names):
+    code, out, err = _run(capsys, ["family-sweep", "--family", family, "--param", "x=0:1:3"])
+    assert code == 1
+    assert out == ""
+    assert "'x'" in err
+    assert "one of: " + ", ".join(names) in err
+
+
 def test_family_sweep_rejects_unknown_family(capsys):
     code, out, err = _run(capsys, ["family-sweep", "--family", "cube"])
     assert code == 1

@@ -1,4 +1,8 @@
 """Per-plane margins, the h locus, probability bounds and their consistency."""
+import functools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from steerell import (
     NotOnSurface,
     PlaneSection,
     classify_locus,
+    criteria,
     ellipsoid_from_geometry,
     homology,
     kernels,
@@ -354,3 +359,168 @@ def test_bounds_hand_out_normals_the_caller_may_write(refine):
         normal[:] = np.nan
     again = p_bounds(ell, p=rep.point, resolution=(7, 14), refine=refine)
     assert (again.p_min, again.p_max, again.argmin_normal.tolist(), again.argmax_normal.tolist()) == want
+
+
+# ---------------------------------------------------------------------------
+# the refinement of the full-sphere bounds
+# ---------------------------------------------------------------------------
+
+
+def test_refinement_evaluates_few_planes(monkeypatch):
+    # three golden-section sweeps of theta then phi for each bound took
+    # 530 planes a call at (180, 360)
+    ells = [sampling.random_tangent_state(np.random.default_rng(seed))[1:] for seed in range(20)]
+    ells += [(steering_ellipsoid(obese_state(c)), None) for c in (0.25, 0.5, 0.75)]
+    # the refinement reduces one plane at a time; the scans pass arrays
+    count = [0]
+    reduce_planes = kernels.reduce_planes
+
+    def counting(mp, gp, x, y, d):
+        count[0] += not isinstance(x, np.ndarray)
+        return reduce_planes(mp, gp, x, y, d)
+
+    monkeypatch.setattr(kernels, "reduce_planes", counting)
+    for ell, rep in ells:
+        p_bounds(ell, p=P_TOP if rep is None else rep.point)
+    assert count[0] / len(ells) <= 250
+
+
+@functools.lru_cache(maxsize=1)
+def _tangent_ellipsoids():
+    rng = np.random.default_rng(11)
+    return [sampling.random_tangent_ellipsoid(rng) for _ in range(50)]
+
+
+def _golden_minimize(fun, lo, hi, tol=1e-10):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def _golden_descent_bounds(ell, p, resolution):
+    """(p_min, p_max) of the grid scan polished by three golden-section sweeps
+    of theta then phi over +-1 cell, each search started afresh from its
+    bracket: the refinement the line searches of `p_bounds` replaced."""
+    n_theta, n_phi = resolution
+    thetas, phis, normals = criteria._hemisphere_grid(n_theta, n_phi)
+    minv = ell.inverse_shape_matrix()
+    lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+    q, mp, gp = q.tolist(), mp.tolist(), gp.tolist()
+
+    def value(theta, phi, sign):
+        n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        x, y, d = (sum(qi * ni for qi, ni in zip(row, n)) for row in q)
+        mu, nu, ga, r2, ok = kernels.reduce_planes(mp, gp, x, y, d)
+        if not ok or r2 < 5e-3**2:
+            return math.inf
+        lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
+        return lo_s if sign > 0 else -hi_s
+
+    dth, dph = math.pi / n_theta, 2.0 * math.pi / n_phi
+    out = []
+    for sign, grid in ((1.0, np.where(valid, lo, np.inf)), (-1.0, np.where(valid, -hi, np.inf))):
+        idx = int(np.argmin(grid))
+        th, ph = float(thetas[idx // n_phi]), float(phis[idx % n_phi])
+        for _ in range(3):
+            th, _v = _golden_minimize(lambda t: value(t, ph, sign), th - dth, th + dth)
+            ph, _v = _golden_minimize(lambda f: value(th, f, sign), ph - dph, ph + dph)
+        out.append(sign * min(float(grid[idx]), value(th, ph, sign)))
+    return max(out[0], 0.0), out[1]
+
+
+@pytest.mark.parametrize("resolution", [(180, 360), (90, 180)])
+def test_refined_bounds_never_worse_than_the_grid(resolution):
+    for ell, p in _tangent_ellipsoids():
+        grid = p_bounds(ell, p=p, resolution=resolution, refine=False)
+        out = p_bounds(ell, p=p, resolution=resolution)
+        assert out.p_min <= grid.p_min
+        assert out.p_max >= grid.p_max
+        # the reported planes attain the reported bounds
+        normals = np.array([out.argmin_normal, out.argmax_normal])
+        lo, hi, valid = kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals)
+        assert valid.all()
+        assert abs(max(lo[0], 0.0) - out.p_min) <= 1e-12
+        assert abs(hi[1] - out.p_max) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [(180, 360), (90, 180)])
+def test_refined_bounds_at_least_as_good_as_golden_descent(resolution):
+    for ell, p in _tangent_ellipsoids():
+        ref_min, ref_max = _golden_descent_bounds(ell, p, resolution)
+        out = p_bounds(ell, p=p, resolution=resolution)
+        assert out.p_min <= ref_min + 1e-13
+        assert out.p_max >= ref_max - 1e-13
+
+
+def _line_search(fun, lo, hi, x0):
+    """(x, fx, values): `criteria._brent_minimize` from x0 with every value
+    it evaluated, run with every warning an error."""
+    values = []
+
+    def recorded(x):
+        fx = fun(x)
+        assert lo <= x <= hi
+        values.append(fx)
+        return fx
+
+    f0 = fun(x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, fx = criteria._brent_minimize(recorded, lo, hi, x0, f0)
+    assert fx == fun(x)
+    assert fx == min([f0] + values)
+    return x, fx, values
+
+
+@pytest.mark.parametrize(
+    "fun, lo, hi, x0, x_min",
+    [
+        (lambda x: (x - 0.3) ** 2, -1.0, 1.0, 0.0, 0.3),
+        (math.cos, 2.0, 4.0, 2.5, math.pi),
+        (lambda x: abs(x - 0.123), -1.0, 1.0, 0.9, 0.123),
+        # minimum at the edge of the bracket
+        (lambda x: x, 0.0, 1.0, 0.5, 0.0),
+    ],
+    ids=["quadratic", "cosine", "abs", "edge"],
+)
+def test_line_search_finds_the_minimum(fun, lo, hi, x0, x_min):
+    x, fx, values = _line_search(fun, lo, hi, x0)
+    assert abs(x - x_min) <= 1e-7
+    assert len(values) <= 60
+
+
+def test_line_search_on_a_constant_keeps_its_value():
+    x, fx, _values = _line_search(lambda x: 0.25, 0.0, 1.0, 0.3)
+    assert fx == 0.25
+    assert 0.0 <= x <= 1.0
+
+
+def test_line_search_steps_over_infinite_values():
+    # near-tangent planes evaluate to +inf: here on the left of the bracket
+    def fun(x):
+        return math.inf if x < 0.2 else (x - 0.1) ** 2
+
+    x, fx, values = _line_search(fun, -1.0, 1.0, 0.5)
+    assert math.inf in values
+    assert abs(x - 0.2) <= 1e-7
+    assert fx == pytest.approx(0.01, abs=1e-8)
+
+
+def test_line_search_never_returns_worse_than_its_start():
+    # a start better than anything else the bracket offers stays put
+    x, fx, _values = _line_search(lambda x: 0.0 if x == 0.5 else 1.0 + x, 0.0, 1.0, 0.5)
+    assert (x, fx) == (0.5, 0.0)

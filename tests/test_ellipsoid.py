@@ -140,6 +140,32 @@ def test_no_contact_for_nearly_flat_interior_ellipsoid(a, b, T):
     assert rep.status == NO_CONTACT
 
 
+def _flat_tangent_ellipsoid(rng, c):
+    """Ellipsoid with semiaxes (0.3-0.7, 0.1-0.3, c), tangent to the sphere
+    from inside at a random point p: (ellipsoid, p)."""
+    dirs = sampling._fibonacci_sphere(400)
+    while True:
+        semi = np.array([rng.uniform(0.3, 0.7), rng.uniform(0.1, 0.3), c])
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        w = q @ np.diag(semi * semi) @ q.T
+        p = sampling.random_unit_vector(rng)
+        centre = p - w @ p / np.sqrt(p @ w @ p)
+        surface = centre + (dirs @ w) / np.sqrt(np.einsum("ij,jk,ik->i", dirs, w, dirs))[:, None]
+        if np.linalg.norm(surface, axis=1).max() <= 1.0 + 1e-7:
+            return ellipsoid_from_geometry(centre, semi, axes=q), p
+
+
+def test_nearly_flat_tangent_ellipsoid_is_single_tangent():
+    # the kernel threshold relative to the largest singular value, about
+    # 1/c^2, called 36 of these 100 MultiTangent
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        ell, p = _flat_tangent_ellipsoid(rng, 1e-3)
+        rep = tangency(ell)
+        assert rep.status == SINGLE_TANGENT
+        assert np.linalg.norm(rep.point - p) <= 1e-6
+
+
 def test_two_pole_contact_is_multi():
     # major axis spans a full diameter: contact at both ends
     ell = ellipsoid_from_geometry([0, 0, 0], [1.0, 0.5, 0.4])
