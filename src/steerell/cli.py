@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,8 +219,33 @@ def cmd_section(args):
     return EXIT_OK
 
 
+class _Family(NamedTuple):
+    """A family-sweep family: its grid parameters with their default
+    (start, stop, count) grids, which --param may override, the rule that
+    admits a grid point, the state at an admitted point, and whether the
+    bounds are the pencil's."""
+
+    grids: dict
+    admissible: Callable
+    state: Callable
+    pencil: bool
+
+
+_FAMILIES = {
+    "obese": _Family({"c": (0.0, 0.99, 100)}, lambda c: True, families.obese_state, False),
+    "sphere": _Family({"r": (0.05, 0.95, 19)}, lambda r: True, families.tangent_sphere_state, False),
+    "spheroid": _Family(
+        {"m": (0.2, 0.8, 7), "n": (0.2, 0.8, 7)}, lambda m, n: n * n <= m, families.tangent_spheroid_state, False
+    ),
+    "xstate": _Family(
+        {"a": (0.0, 0.6, 4), "b": (0.2, 0.8, 4), "t": (0.1, 0.9, 5)},
+        lambda a, b, t: b > a and t * t <= (1.0 + a) * (1.0 - b),
+        lambda a, b, t: families.tangent_x_state(a, b, t, -t),
+        True,
+    ),
+}
 # the grid parameters each family-sweep family accepts through --param
-_FAMILY_PARAMS = {"obese": ("c",), "sphere": ("r",), "spheroid": ("m", "n"), "xstate": ("a", "b", "t")}
+_FAMILY_PARAMS = {name: tuple(family.grids) for name, family in _FAMILIES.items()}
 
 
 def _parse_params(pairs, family):
@@ -242,7 +269,7 @@ def _parse_params(pairs, family):
     return grids
 
 
-def _sweep_row(state, ell, p, b, planes, pencil_bounds):
+def _sweep_row(ell, p, b, planes, pencil_bounds):
     p_pure = criteria.pure_state_probability(ell, p, b)
     locus = criteria.locus_of_h(ell, b, n_planes=planes, p=p)
     margin = float(locus.margins.max())
@@ -260,72 +287,38 @@ def _sweep_row(state, ell, p, b, planes, pencil_bounds):
     }
 
 
+def _x_forms_agree(a, b, t):
+    """Whether the X family's two closed-form criteria agree at 19 section
+    azimuths."""
+    for theta in np.linspace(0.0, np.pi / 2, 19):
+        try:
+            families.x_state_steerable(a, b, t, -t, theta)
+        except AssertionError:
+            return False
+    return True
+
+
 def cmd_family_sweep(args):
     grids = _parse_params(args.param, args.family)
-    planes = args.planes
-    rows = []
-    if args.family == "obese":
-        cs = grids.get("c", np.linspace(0.0, 0.99, 100))
-        for c in cs:
-            state = families.obese_state(c)
-            ell = steering_ellipsoid(state)
-            row = {"c": c}
-            row.update(_sweep_row(state, ell, np.array([0.0, 0.0, 1.0]), state.b, planes, False))
-            rows.append(row)
-        header = ["c", "steerable", "p_p", "p_min", "p_max", "margin"]
-    elif args.family == "sphere":
-        rs = grids.get("r", np.linspace(0.05, 0.95, 19))
-        for r in rs:
-            state = families.tangent_sphere_state(r)
-            ell = steering_ellipsoid(state)
-            row = {"r": r}
-            row.update(_sweep_row(state, ell, np.array([0.0, 0.0, 1.0]), state.b, planes, False))
-            rows.append(row)
-        header = ["r", "steerable", "p_p", "p_min", "p_max", "margin"]
-    elif args.family == "spheroid":
-        ms = grids.get("m", np.linspace(0.2, 0.8, 7))
-        ns = grids.get("n", np.linspace(0.2, 0.8, 7))
-        for m in ms:
-            for n in ns:
-                if n * n > m:
-                    continue
-                state = families.tangent_spheroid_state(m, n)
-                ell = steering_ellipsoid(state)
-                row = {"m": m, "n": n}
-                row.update(_sweep_row(state, ell, np.array([0.0, 0.0, 1.0]), state.b, planes, False))
-                rows.append(row)
-        header = ["m", "n", "steerable", "p_p", "p_min", "p_max", "margin"]
-    elif args.family == "xstate":
-        as_ = grids.get("a", np.linspace(0.0, 0.6, 4))
-        bs = grids.get("b", np.linspace(0.2, 0.8, 4))
-        ts = grids.get("t", np.linspace(0.1, 0.9, 5))
-        thetas = np.linspace(0.0, np.pi / 2, 19)
-        for a in as_:
-            for b in bs:
-                if b <= a:
-                    continue
-                for t in ts:
-                    if t * t > (1.0 + a) * (1.0 - b):
-                        continue
-                    state = families.tangent_x_state(a, b, t, -t)
-                    ell = steering_ellipsoid(state)
-                    row = {"a": a, "b": b, "t": t}
-                    row.update(
-                        _sweep_row(state, ell, np.array([0.0, 0.0, 1.0]), state.b, planes, True)
-                    )
-                    agree = True
-                    for theta in thetas:
-                        try:
-                            families.x_state_steerable(a, b, t, -t, theta)
-                        except AssertionError:
-                            agree = False
-                            break
-                    row["forms_agree"] = agree
-                    rows.append(row)
-        header = ["a", "b", "t", "steerable", "p_p", "p_min", "p_max", "margin", "forms_agree"]
-    else:
+    if args.family not in _FAMILIES:
         raise _CliError(EXIT_USAGE, f"unknown family {args.family!r}")
-    header.append("indeterminate")
+    family = _FAMILIES[args.family]
+    names = list(family.grids)
+    xstate = args.family == "xstate"
+    p = np.array([0.0, 0.0, 1.0])
+    rows = []
+    axes = [grids.get(name, np.linspace(*family.grids[name])) for name in names]
+    for values in itertools.product(*axes):
+        if not family.admissible(*values):
+            continue
+        state = family.state(*values)
+        row = dict(zip(names, values))
+        row.update(_sweep_row(steering_ellipsoid(state), p, state.b, args.planes, family.pencil))
+        if xstate:
+            row["forms_agree"] = _x_forms_agree(*values)
+        rows.append(row)
+    header = names + ["steerable", "p_p", "p_min", "p_max", "margin"]
+    header += ["forms_agree", "indeterminate"] if xstate else ["indeterminate"]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

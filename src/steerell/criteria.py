@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,78 +250,87 @@ def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
 
 
-# golden-section fraction, sqrt(eps) and absolute tolerance of the line search
-_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
-_XATOL = 1e-10
+# Newton polish: central-difference step, floor of the Hessian's
+# eigenvalues, step cap, the step length it stops at, and a cap on steps
+_FD_STEP = 1e-5
+_EIG_FLOOR = 1e-8
+_MAX_STEP = 0.05
+_MIN_STEP = 1e-7
+_MAX_ITERATIONS = 50
 
 
-def _brent_minimize(fun, lo, hi, x, fx):
-    """Minimise fun on [lo, hi] by Brent's bounded line search, started at x
-    with its known value fx = fun(x).
+def _newton_polish(fun, x, fx):
+    """Minimise fun over one or two coordinates by damped Newton steps,
+    started at the tuple x with its known value fx = fun(x).
 
-    Parabolic steps through the three best points, safeguarded by
-    golden-section steps, as in scipy's `fminbound`, with tolerance
-    sqrt(eps) |x| + 1e-10 / 3. Returns the best (x, fun(x)) evaluated, so
-    never a worse point than the start. A parabola needs finite values:
-    near-tangent planes evaluate to +inf, and with one of those among the
-    three points the step is golden.
+    Gradient and Hessian come from central differences with step 1e-5
+    (three values in 1-D, six in 2-D), the Hessian's eigenvalues floored at
+    1e-8 so that each step goes downhill. A step is capped at 0.05 and
+    halved until it lowers the value or is shorter than 1e-7: in a flat,
+    curved valley even a straight step of 2e-4 can climb the valley wall,
+    and stopping there left p_min up to 2.5e-10 high. The polish stops after
+    a step shorter than 1e-7, on a step that no halving made lower, on a
+    non-finite value in the stencil (near-tangent planes evaluate to +inf),
+    or after 50 steps. Returns the best (x, fun(x)) evaluated, so never a
+    worse point than the start.
     """
-    a, b = lo, hi
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-                golden = False
-        if golden:
-            e = (a - x) if x >= xm else (b - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fun(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    h = _FD_STEP
+    best_x, best_f = x, fx
+    for _ in range(_MAX_ITERATIONS):
+        if len(x) == 1:
+            (t,) = x
+            stencil = [(t + h,), (t - h,)]
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def _normal_from_angles(theta, phi):
-    st = math.sin(theta)
-    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+            a, b = x
+            stencil = [(a + h, b), (a - h, b), (a, b + h), (a, b - h), (a + h, b + h), (a - h, b - h)]
+        values = [fun(point) for point in stencil]
+        for point, value in zip(stencil, values):
+            if value < best_f:
+                best_x, best_f = point, value
+        if not all(map(math.isfinite, values)):
+            break
+        if len(x) == 1:
+            fp, fm = values
+            curv = (fp - 2.0 * fx + fm) / (h * h)
+            step = (-(fp - fm) / (2.0 * h) / max(curv, _EIG_FLOOR),)
+        else:
+            fap, fam, fbp, fbm, fpp, fmm = values
+            ga, gb = (fap - fam) / (2.0 * h), (fbp - fbm) / (2.0 * h)
+            haa = (fap - 2.0 * fx + fam) / (h * h)
+            hbb = (fbp - 2.0 * fx + fbm) / (h * h)
+            hab = (fpp - fap - fbp + 2.0 * fx - fam - fbm + fmm) / (2.0 * h * h)
+            # eigenvalues mid +- rad along (c, s) and (-s, c)
+            mid, rad = 0.5 * (haa + hbb), math.hypot(0.5 * (haa - hbb), hab)
+            angle = 0.5 * math.atan2(2.0 * hab, haa - hbb)
+            c, s = math.cos(angle), math.sin(angle)
+            k1 = (c * ga + s * gb) / max(mid + rad, _EIG_FLOOR)
+            k2 = (c * gb - s * ga) / max(mid - rad, _EIG_FLOOR)
+            step = (s * k2 - c * k1, -s * k1 - c * k2)
+        length = math.hypot(*step)
+        if length > _MAX_STEP:
+            step = tuple(si * (_MAX_STEP / length) for si in step)
+            length = _MAX_STEP
+        while True:
+            trial = tuple(xi + si for xi, si in zip(x, step))
+            f_trial = fun(trial)
+            # written to end the halvings on a NaN step as well
+            if f_trial < fx or not length >= _MIN_STEP:
+                break
+            step = tuple(0.5 * si for si in step)
+            length *= 0.5
+        if not f_trial < fx:
+            break
+        x, fx = trial, f_trial
+        if fx < best_f:
+            best_x, best_f = x, fx
+        if length < _MIN_STEP:
+            break
+    return best_x, best_f
 
 
 @functools.lru_cache(maxsize=4)
 def _hemisphere_grid(n_theta: int, n_phi: int):
-    """(thetas, phis, normals) of the full-sphere scan, read-only.
+    """Normals of the full-sphere scan, an (n, 3) read-only array.
 
     n and -n give the same plane, so the grid covers the upper hemisphere of
     the (n_theta, n_phi) grid of normals, plus the equator row when n_theta
@@ -338,9 +346,8 @@ def _hemisphere_grid(n_theta: int, n_phi: int):
     # an (n, 3) view of contiguous component rows, which the kernel rotates
     # into the contact frame with one matrix product per block
     normals = comp.reshape(3, -1).T
-    for arr in (thetas, phis, comp, normals):
-        arr.flags.writeable = False
-    return thetas, phis, normals
+    normals.flags.writeable = False
+    return normals
 
 
 def p_bounds(
@@ -363,13 +370,14 @@ def p_bounds(
     scanned and the per-plane threshold is evaluated at b's own chord slope,
     which bounds the thresholds actually faced by that reduced point.
 
-    With refine=True the grid extremes are polished by line searches
-    (`_brent_minimize`) that start at the grid point with its grid value, so
-    no refined bound is worse than the grid's. In full-sphere mode they
-    sweep theta then phi, each over +-1 grid cell about the current point,
-    at most 4 times and no further once a sweep fails to improve the value;
-    in pencil mode one search runs over +-1 cell of t. Planes with
-    R < 5e-3 count as +inf there. The global minimum is clamped at 0.
+    With refine=True each grid extreme is polished by `_newton_polish`,
+    started at the grid point with its grid value, so no refined bound is
+    worse than the grid's. In full-sphere mode it runs over the
+    contact-frame polar angles (a, b) of the normal, (x, y, d) =
+    (sin a cos b, sin a sin b, cos a); the chart needs no wrapping, as the
+    threshold is even in the normal, and its pole a = 0 is the tangent
+    plane. Planes with R < 5e-3 count as +inf there. In pencil mode it runs
+    over the pencil angle t. The global minimum is clamped at 0.
     """
     p = _resolve_contact(ell, p)
     minv = ell.inverse_shape_matrix()
@@ -377,8 +385,7 @@ def p_bounds(
     # the refinement evaluates one plane at a time, on Python floats
     mp_f, gp_f = mp.tolist(), gp.tolist()
     if b is None:
-        n_theta, n_phi = resolution
-        thetas, phis, normals = _hemisphere_grid(n_theta, n_phi)
+        normals = _hemisphere_grid(*resolution)
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
         invalid = ~valid
         lo[invalid] = np.inf
@@ -390,45 +397,31 @@ def p_bounds(
         arg_min, arg_max = normals[imin].copy(), normals[imax].copy()
 
         if refine:
-            dth, dph = np.pi / n_theta, 2.0 * np.pi / n_phi
-            (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q.tolist()
 
-            def plane_value(theta, phi, which):
-                nx, ny, nz = _normal_from_angles(theta, phi)
-                x = q00 * nx + q01 * ny + q02 * nz
-                y = q10 * nx + q11 * ny + q12 * nz
-                d = q20 * nx + q21 * ny + q22 * nz
-                mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, x, y, d)
+            def polar(angles):
+                a, b = angles
+                sin_a = math.sin(a)
+                return sin_a * math.cos(b), sin_a * math.sin(b), math.cos(a)
+
+            def plane_value(angles, sign):
+                mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, *polar(angles))
                 # reject nearly tangent planes, R < 5e-3; the reduction's
                 # rounding error grows like eps/R (3e-11 relative at
                 # R = 1e-5, measured against exact arithmetic)
                 if not ok or r2 < 5e-3**2:
                     return np.inf
                 lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
-                return lo_s if which == 0 else -hi_s
+                return lo_s if sign > 0.0 else -hi_s
 
-            for which, idx in ((0, imin), (1, imax)):
-                th, ph = float(thetas[idx // n_phi]), float(phis[idx % n_phi])
-                best = val = p_min if which == 0 else -p_max
-                # sweep theta then phi, +-1 cell about the current point, until
-                # a sweep stops lowering the value; capped at 3 sweeps, p_min
-                # came out above that of three golden-section sweeps on about
-                # half of 300 random ellipsoids (by up to 4e-10), capped at 4
-                # by no more than rounding (2e-16)
-                for _ in range(4):
-                    th, val = _brent_minimize(
-                        lambda t: plane_value(t, ph, which), th - dth, th + dth, th, val
-                    )
-                    ph, val = _brent_minimize(
-                        lambda f: plane_value(th, f, which), ph - dph, ph + dph, ph, val
-                    )
-                    if not val < best:
-                        break
-                    best = val
-                if which == 0 and val < p_min:
-                    p_min, arg_min = val, np.array(_normal_from_angles(th, ph))
-                elif which == 1 and -val > p_max:
-                    p_max, arg_max = -val, np.array(_normal_from_angles(th, ph))
+            refined = []
+            for sign, normal, value in ((1.0, arg_min, p_min), (-1.0, arg_max, -p_max)):
+                x, y, d = (q @ normal).tolist()
+                start = (math.atan2(math.hypot(x, y), d), math.atan2(y, x))
+                angles, val = _newton_polish(lambda ab: plane_value(ab, sign), start, value)
+                if val < value:
+                    normal = np.array(polar(angles)) @ q
+                refined.append((normal, sign * val))
+            (arg_min, p_min), (arg_max, p_max) = refined
         mode = "ellipsoid"
         n_planes = int(valid.sum())
     else:
@@ -453,13 +446,8 @@ def p_bounds(
 
         imin_t, imax_t = float(ts[imin]), float(ts[imax])
         if refine:
-            dt = np.pi / n_t
-            imin_t, p_min = _brent_minimize(
-                lambda t: pencil_value(t, 1.0), imin_t - dt, imin_t + dt, imin_t, p_min
-            )
-            imax_t, v = _brent_minimize(
-                lambda t: pencil_value(t, -1.0), imax_t - dt, imax_t + dt, imax_t, -p_max
-            )
+            (imin_t,), p_min = _newton_polish(lambda t: pencil_value(t[0], 1.0), (imin_t,), p_min)
+            (imax_t,), v = _newton_polish(lambda t: pencil_value(t[0], -1.0), (imax_t,), -p_max)
             p_max = -v
         arg_min = np.array(kernels.pencil_normals(e1, e2, imin_t))
         arg_max = np.array(kernels.pencil_normals(e1, e2, imax_t))

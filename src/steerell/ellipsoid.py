@@ -323,14 +323,6 @@ class PlaneSection:
     delta: float
     degenerate: bool
 
-    @property
-    def theta(self) -> float:
-        return float(np.arccos(np.clip(self.normal[2], -1.0, 1.0)))
-
-    @property
-    def phi(self) -> float:
-        return float(np.arctan2(self.normal[1], self.normal[0]) % (2.0 * np.pi))
-
     def to_plane(self, x) -> np.ndarray:
         """Project a 3d point into (u, v) coordinates (assumes it lies on the plane)."""
         d = np.asarray(x, dtype=float) - self.point

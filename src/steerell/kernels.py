@@ -1,8 +1,8 @@
 """Per-plane formulas and the vectorized kernels built on them.
 
 Each formula has one implementation, written component-wise so that the same
-code takes arrays of planes (the scans) and Python floats (the line-search
-refinement in `criteria.p_bounds`):
+code takes arrays of planes (the scans) and Python floats (the Newton polish
+that refines the bounds in `criteria.p_bounds`):
 
   contact_frame     rotation Q to the contact-point frame, M' and g' in it
   reduce_planes     contact-frame normals -> (mu, nu, gamma, r2, valid)

@@ -123,6 +123,9 @@ def assemblage_from_geometry(
     in-plane direction `chord_angle`. The complementary outcome of the pure
     measurement is placed at the far intersection of line pb with the
     ellipsoid, exactly where a physical tangency measurement sends it.
+
+    Raises CollinearSteeredStates when b is at p, when the chord misses the
+    section ellipse, or when a chord end sits at the pure state.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -157,6 +160,10 @@ def assemblage_from_geometry(
     t_minus = (-qb - root) / (2.0 * qa)
     s_plus1 = b_local + t_plus * direction
     s_minus1 = b_local + t_minus * direction
+    for end in (s_plus1, s_minus1):
+        # an end at the pure state has no circle lift at triangle_criterion's
+        # default tolerance, so the oracle could not judge this assemblage
+        _lift_to_circle(end, section.R, 1e-9)
     lam = -t_minus / (t_plus - t_minus)
     probs1 = np.array([lam, 1.0 - lam])
     return Assemblage(

@@ -2,7 +2,8 @@
 option values and state files of every kind, ends in a documented exit code
 (0 ok, 1 usage, 2 unphysical, 3 outside the scenario), never an exception.
 
-The examples are derandomized, so the suite runs the same inputs every time.
+The examples are derandomized (tests/conftest.py), so the suite runs the
+same inputs every time.
 `--planes` stays small and grids have at most three points, which keeps the
 two tests to a few seconds.
 """
@@ -21,7 +22,6 @@ EXIT_CODES = {0, 1, 2, 3}
 FUZZ = settings(
     max_examples=120,
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 

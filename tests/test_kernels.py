@@ -240,7 +240,7 @@ def test_scan_bounds_blocks_match_one_block_bit_for_bit(monkeypatch, blocks, ext
 def test_scan_bounds_blocks_match_one_block_on_full_grids(monkeypatch, resolution):
     from steerell.criteria import _hemisphere_grid
 
-    normals = _hemisphere_grid(*resolution)[2]
+    normals = _hemisphere_grid(*resolution)
     # the shipped block, many short blocks (so that even the (7, 14) grid
     # crosses edges) and, last, one block: the reference
     blocks = (kernels.SCAN_BLOCK, 13, len(normals))

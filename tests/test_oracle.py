@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerell import (
@@ -91,6 +91,7 @@ def test_state_assemblage_is_consistent(seed):
 
 
 @given(seed=seeds)
+@example(seed=9246)  # a chord end 4.4e-6 from the pure state: no assemblage
 @settings(max_examples=50, deadline=None)
 def test_oracle_agrees_with_plane_margin(seed):
     asm = _geometry_assemblage(seed)
