@@ -45,22 +45,6 @@ EXIT_NONPHYSICAL = 2
 EXIT_NO_TANGENCY = 3
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _write(text, out_path):
     if not out_path:
         sys.stdout.write(text)
@@ -73,7 +57,9 @@ def _write(text, out_path):
 
 
 def _emit(payload, out_path):
-    _write(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n", out_path)
+    # numpy arrays and scalars are the only payload values json cannot encode
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    _write(text + "\n", out_path)
 
 
 def _load_state(path, tol):
@@ -192,8 +178,7 @@ def cmd_section(args):
     ell = steering_ellipsoid(state)
     report = tangency(ell)
     if report.status != SINGLE_TANGENT:
-        sys.stderr.write(f"contact classification is {report.status}\n")
-        return EXIT_NO_TANGENCY
+        raise NoTangency(f"contact classification is {report.status}")
     section = plane_section(ell, report.point, args.normal)
     b_local = section.to_plane(state.b)
     verdict = criteria.steerable_in_plane(section, b_local)
@@ -244,29 +229,37 @@ _FAMILIES = {
         True,
     ),
 }
-# the grid parameters each family-sweep family accepts through --param
-_FAMILY_PARAMS = {name: tuple(family.grids) for name, family in _FAMILIES.items()}
+# the most grid points a family sweep may have: each --param count, and the
+# product of the family's grid sizes, defaults included, must stay within it
+MAX_SWEEP_POINTS = 100_000
 
 
 def _parse_params(pairs, family):
-    grids = {}
+    """The family's grids, with the --param overrides in place of the
+    defaults."""
+    grids = dict(_FAMILIES[family].grids)
     for pair in pairs or []:
         try:
             name, rng = pair.split("=", 1)
             start, stop, count = rng.split(":")
-            start, stop = float(start), float(stop)
-            if not (math.isfinite(start) and math.isfinite(stop)):
+            start, stop, count = float(start), float(stop), int(count)
+            if not (math.isfinite(start) and math.isfinite(stop)) or count < 0:
                 raise ValueError
-            grids[name] = np.linspace(start, stop, int(count))
         except ValueError:
             raise _CliError(EXIT_USAGE, f"bad --param {pair!r}, expected name=start:stop:count with finite ends")
-        names = _FAMILY_PARAMS.get(family, ())
-        if name not in names:
+        if count > MAX_SWEEP_POINTS:
+            raise _CliError(EXIT_USAGE, f"bad --param {pair!r}, count above the cap of {MAX_SWEEP_POINTS}")
+        if name not in grids:
             raise _CliError(
                 EXIT_USAGE,
-                f"unknown --param {name!r} for family {family!r}, expected one of: {', '.join(names)}",
+                f"unknown --param {name!r} for family {family!r}, expected one of: {', '.join(grids)}",
             )
-    return grids
+        grids[name] = (start, stop, count)
+    points = math.prod(count for _, _, count in grids.values())
+    if points > MAX_SWEEP_POINTS:
+        raise _CliError(EXIT_USAGE, f"--param grids give {points} grid points, above the cap of {MAX_SWEEP_POINTS}")
+    # no grid is built before every count has passed the cap
+    return [np.linspace(*grid) for grid in grids.values()]
 
 
 def _sweep_row(ell, p, b, planes, pencil_bounds):
@@ -299,15 +292,12 @@ def _x_forms_agree(a, b, t):
 
 
 def cmd_family_sweep(args):
-    grids = _parse_params(args.param, args.family)
-    if args.family not in _FAMILIES:
-        raise _CliError(EXIT_USAGE, f"unknown family {args.family!r}")
+    axes = _parse_params(args.param, args.family)
     family = _FAMILIES[args.family]
     names = list(family.grids)
     xstate = args.family == "xstate"
     p = np.array([0.0, 0.0, 1.0])
     rows = []
-    axes = [grids.get(name, np.linspace(*family.grids[name])) for name in names]
     for values in itertools.product(*axes):
         if not family.admissible(*values):
             continue
@@ -448,9 +438,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, state=True):
-        if state:
-            sp.add_argument("--state", required=True, help="JSON state file")
+    def add_common(sp):
+        sp.add_argument("--state", required=True, help="JSON state file")
         sp.add_argument("--tol", type=_non_negative, default=1e-9, help="positivity tolerance")
         sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -470,7 +459,7 @@ def build_parser():
     sp.set_defaults(func=cmd_section)
 
     sp = sub.add_parser("family-sweep", help="CSV sweep over a closed-form family")
-    sp.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
+    sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--param", action="append", help="grid override name=start:stop:count")
     sp.add_argument("--planes", type=_int_at_least(1), default=90, help="pencil resolution per row")
     sp.add_argument("--out", default=None)

@@ -92,7 +92,7 @@ class ProbBounds:
     n_planes: int
 
 
-def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY_BAND) -> PlaneVerdict:
+def steerable_in_plane(section: PlaneSection, b_local) -> PlaneVerdict:
     """Decide steerability of the in-plane reduced point b_local.
 
     Raises DegeneratePlane for collapsed sections and InvalidReducedState when
@@ -116,7 +116,7 @@ def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY
     return PlaneVerdict(
         steerable=bool(margin > 0.0),
         margin=float(margin),
-        indeterminate=bool(abs(margin) < band),
+        indeterminate=bool(abs(margin) < BOUNDARY_BAND),
         b_local=b_local,
         h_local=h_local,
         section=section,
@@ -124,7 +124,7 @@ def steerable_in_plane(section: PlaneSection, b_local, *, band: float = BOUNDARY
     )
 
 
-def pure_state_probability(ell: SteeringEllipsoid, p, b, *, tol: float = TOL_GEOM) -> float:
+def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
     """Probability weight of the pure steered state fixed by p and b.
 
     Equals 1 - |p b| / |p q| with q the far intersection of the line p b with
@@ -132,11 +132,11 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b, *, tol: float = TOL_GEO
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
-    if ell.surface_value(b) > tol:
+    if ell.surface_value(b) > TOL_GEOM:
         raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {ell.surface_value(b):.3e})")
     d = b - p
     length = float(np.linalg.norm(d))
-    if length <= tol:
+    if length <= TOL_GEOM:
         return 1.0
     direction = d / length
     minv = ell.inverse_shape_matrix()
@@ -145,17 +145,17 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b, *, tol: float = TOL_GEO
     q0 = ell.surface_value(p)
     disc = max(qb * qb - qa * q0, 0.0)
     t_far = (-qb + np.sqrt(disc)) / qa
-    if t_far < length - tol:
+    if t_far < length - TOL_GEOM:
         raise BOutsideEllipsoid("b lies beyond the far surface along the chord")
     return float(1.0 - length / t_far)
 
 
-def _pencil(p, b, n_planes, tol=TOL_GEOM):
+def _pencil(p, b, n_planes):
     """Frame (e1, e2) orthogonal to b - p and the angles t of the n_planes
     pencil planes with normals cos(t) e1 + sin(t) e2."""
     d = b - p
     length = np.linalg.norm(d)
-    if length <= tol:
+    if length <= TOL_GEOM:
         raise InvalidReducedState("b coincides with the contact point; the pencil is undefined")
     direction = d / length
     seed = np.array([1.0, 0.0, 0.0])

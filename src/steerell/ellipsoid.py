@@ -93,10 +93,10 @@ class TangencyReport:
     p_probability: float | None = None
 
 
-def steering_ellipsoid(state: TwoQubitState, *, tol: float = TOL_GEOM) -> SteeringEllipsoid:
+def steering_ellipsoid(state: TwoQubitState) -> SteeringEllipsoid:
     """Steering ellipsoid of Bob for the given state (Alice measures)."""
     gap = state.alice_purity_gap()
-    if gap <= tol:
+    if gap <= TOL_GEOM:
         raise DegenerateEllipsoid(f"Alice marginal is pure (1 - |a|^2 = {gap:.3e})")
     a, b, t = state.a, state.b, state.T
     tc = t - np.outer(a, b)
@@ -109,12 +109,12 @@ def steering_ellipsoid(state: TwoQubitState, *, tol: float = TOL_GEOM) -> Steeri
         centre=centre,
         semiaxes=semis,
         axes=axes,
-        zero_volume=bool(semis[2] <= tol),
+        zero_volume=bool(semis[2] <= TOL_GEOM),
         state=state,
     )
 
 
-def ellipsoid_from_geometry(centre, semiaxes, axes=None, *, state=None, tol: float = TOL_GEOM) -> SteeringEllipsoid:
+def ellipsoid_from_geometry(centre, semiaxes, axes=None) -> SteeringEllipsoid:
     """Purely geometric ellipsoid (no generating state required).
 
     Semiaxes are sorted descending with axis columns permuted to match.
@@ -135,8 +135,7 @@ def ellipsoid_from_geometry(centre, semiaxes, axes=None, *, state=None, tol: flo
         centre=centre,
         semiaxes=semis[order],
         axes=axes[:, order],
-        zero_volume=bool(semis[order][2] <= tol),
-        state=state,
+        zero_volume=bool(semis[order][2] <= TOL_GEOM),
     )
 
 
@@ -162,12 +161,13 @@ def _dehomogenize(v):
     return v[:3] / v[3]
 
 
-def _newton_polish(x0, m, centre, iters=5):
-    """Newton steps on the tangency Lagrangian: x = lam M (x - c), (x-c)^t M (x-c) = 1."""
+def _newton_polish(x0, m, centre):
+    """At most five Newton steps on the tangency Lagrangian:
+    x = lam M (x - c), (x-c)^t M (x-c) = 1."""
     x = np.array(x0, dtype=float)
     g = m @ (x - centre)
     lam = (x @ g) / max(g @ g, 1e-300)
-    for _ in range(iters):
+    for _ in range(5):
         g = m @ (x - centre)
         f = np.empty(4)
         f[:3] = x - lam * g
@@ -190,7 +190,7 @@ def _newton_polish(x0, m, centre, iters=5):
     return x
 
 
-def tangency(ell: SteeringEllipsoid, *, tol_root: float = TOL_ROOT) -> TangencyReport:
+def tangency(ell: SteeringEllipsoid) -> TangencyReport:
     """Classify the contact between the ellipsoid and the unit sphere.
 
     The roots of det(kappa S - E) = 0 are computed as eigenvalues of S^-1 E.
@@ -214,7 +214,7 @@ def tangency(ell: SteeringEllipsoid, *, tol_root: float = TOL_ROOT) -> TangencyR
     # flat one, and still bounds sqrt(|kr|_max kappa) for the lower roots.
     mags = np.sort(np.abs(kr))
     scale = float(np.sqrt(max(1.0, mags[2]) * max(1.0, mags[3])))
-    tau = tol_root * scale
+    tau = TOL_ROOT * scale
 
     def report(status, csize, kdim, point=None):
         axis = outcome = p_prob = None
@@ -341,7 +341,7 @@ def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> None:
         raise NotOnSurface(f"point is not on the ellipsoid surface (value {ell.surface_value(p):.3e})")
 
 
-def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEOM) -> PlaneSection:
+def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
     """Section the sphere and ellipsoid by the plane through `point` with `normal`.
 
     `point` must be the sphere contact point (on the unit sphere and on the
@@ -353,7 +353,7 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
     p = np.asarray(point, dtype=float)
     nrm = np.asarray(normal, dtype=float)
     nn = np.linalg.norm(nrm)
-    if nn <= tol:
+    if nn <= TOL_GEOM:
         raise ValueError("normal must be a nonzero vector")
     nrm = nrm / nn
     check_on_both_surfaces(ell, p)
@@ -362,7 +362,7 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
     d = float(nrm @ p)
     r2 = 1.0 - d * d
     radius = np.sqrt(max(r2, 0.0))
-    if radius <= tol:
+    if radius <= TOL_GEOM:
         raise TangentPlane("plane is the common tangent plane at the contact point")
     u_axis = (d * nrm - p) / radius
     v_axis = kernels.cross3(nrm, u_axis)
@@ -379,7 +379,7 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
     a2 = np.array([[a_uu, a_uv], [a_uv, a_vv]])
     lvec = np.array([l_u, l_v])
     rho = float(lvec @ np.linalg.solve(a2, lvec))
-    if rho <= tol * tol:
+    if rho <= TOL_GEOM * TOL_GEOM:
         raise EmptySection("section ellipse collapses to the contact point")
     lam, vec = np.linalg.eigh(a2)
     m_semi = float(np.sqrt(rho / lam[0]))
@@ -401,5 +401,5 @@ def plane_section(ell: SteeringEllipsoid, point, normal, *, tol: float = TOL_GEO
         m=m_semi,
         n=n_semi,
         delta=delta,
-        degenerate=bool(n_semi <= tol),
+        degenerate=bool(n_semi <= TOL_GEOM),
     )

@@ -23,25 +23,25 @@ from .paulicore import TwoQubitState, state_from_pauli
 from .tolerances import TOL_GEOM
 
 
-def _check_x_ranges(a, b, t_x, t_y, tol):
+def _check_x_ranges(a, b, t_x, t_y):
     if not (-1.0 < a < 1.0):
         raise InvalidSemiaxes(f"a must lie in (-1, 1), got {a}")
     if not (-1.0 < b < 1.0):
         raise InvalidSemiaxes(f"b must lie in (-1, 1), got {b}")
-    if abs(t_x) <= tol or abs(t_y) <= tol:
+    if abs(t_x) <= TOL_GEOM or abs(t_y) <= TOL_GEOM:
         raise InvalidSemiaxes("zero-volume X state (a transverse correlation vanishes)")
     if b < a:
         raise InvalidSemiaxes("tangency at +z needs a <= b (else |t_z| > 1)")
 
 
-def tangent_x_state(a: float, b: float, t_x: float, t_y: float, *, tol: float = TOL_GEOM) -> TwoQubitState:
+def tangent_x_state(a: float, b: float, t_x: float, t_y: float) -> TwoQubitState:
     """X state with t_z = 1 + a - b, steering Bob to |0> when Alice measures z
     and finds +1.
 
     Raises InvalidSemiaxes for out-of-range parameters and NonPhysical when
     the reconstruction is not a state (any t_y != -t_x).
     """
-    _check_x_ranges(a, b, t_x, t_y, tol)
+    _check_x_ranges(a, b, t_x, t_y)
     t_z = 1.0 + a - b
     return state_from_pauli([0.0, 0.0, a], [0.0, 0.0, b], np.diag([t_x, t_y, t_z]))
 
@@ -52,16 +52,16 @@ def x_semiaxes(a: float, b: float, t_x: float, t_y: float):
     return abs(t_x) / root, abs(t_y) / root, (1.0 - b) / (1.0 - a)
 
 
-def tangent_x_geometry(a: float, b: float, t_x: float, t_y: float, *, tol: float = TOL_GEOM):
+def tangent_x_geometry(a: float, b: float, t_x: float, t_y: float):
     """Abstract tangent ellipsoid and reduced point of the X geometry.
 
     Returns (ellipsoid, b_vec, p) with the contact point p = +z. Valid for any
     semiaxes nested in the ball (n_x^2 <= m, n_y^2 <= m, m <= 1), independent
     of whether a physical X state exists for these parameters.
     """
-    _check_x_ranges(a, b, t_x, t_y, tol)
+    _check_x_ranges(a, b, t_x, t_y)
     n_x, n_y, m = x_semiaxes(a, b, t_x, t_y)
-    if n_x * n_x > m + tol or n_y * n_y > m + tol:
+    if n_x * n_x > m + TOL_GEOM or n_y * n_y > m + TOL_GEOM:
         raise InvalidSemiaxes("transverse semiaxis leaves the Bloch ball (n^2 > m)")
     centre = np.array([0.0, 0.0, (b - a) / (1.0 - a)])
     ell = ellipsoid_from_geometry(centre, [n_x, n_y, m])
@@ -87,7 +87,7 @@ def x_state_steerable(a: float, b: float, t_x: float, t_y: float, theta: float):
     and returns (steerable, margin_form1, margin_form2). The margins are the
     left minus right sides; their signs always agree.
     """
-    _check_x_ranges(a, b, t_x, t_y, TOL_GEOM)
+    _check_x_ranges(a, b, t_x, t_y)
     tau = abs(t_x * t_y) / np.sqrt(
         t_x * t_x * np.sin(theta) ** 2 + t_y * t_y * np.cos(theta) ** 2
     )

@@ -36,6 +36,11 @@ from .errors import CollinearSteeredStates, NoPureState
 from .paulicore import TwoQubitState, steered_ensemble
 from .tolerances import TOL_GEOM
 
+# the oracle's one tolerance: circle lifts and the triangle test count a
+# point within TRIANGLE_TOL * R of the pure state, or within
+# TRIANGLE_TOL * R^2 of a triangle edge, as on it
+TRIANGLE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Assemblage:
@@ -161,9 +166,9 @@ def assemblage_from_geometry(
     s_plus1 = b_local + t_plus * direction
     s_minus1 = b_local + t_minus * direction
     for end in (s_plus1, s_minus1):
-        # an end at the pure state has no circle lift at triangle_criterion's
-        # default tolerance, so the oracle could not judge this assemblage
-        _lift_to_circle(end, section.R, 1e-9)
+        # an end at the pure state has no circle lift, so the oracle could
+        # not judge this assemblage
+        _lift_to_circle(end, section.R)
     lam = -t_minus / (t_plus - t_minus)
     probs1 = np.array([lam, 1.0 - lam])
     return Assemblage(
@@ -213,23 +218,23 @@ def _assemble(ell, p, b, prob_pure, s_minus0_3d, probs1, s_plus1_3d, s_minus1_3d
     )
 
 
-def _lift_to_circle(point: np.ndarray, radius: float, tol: float) -> np.ndarray:
+def _lift_to_circle(point: np.ndarray, radius: float) -> np.ndarray:
     """Second intersection of the ray from the origin through `point` with the
     circle of radius `radius` centred at (radius, 0)."""
     norm2 = point @ point
-    if point[0] <= tol * radius or norm2 <= (tol * radius) ** 2:
+    if point[0] <= TRIANGLE_TOL * radius or norm2 <= (TRIANGLE_TOL * radius) ** 2:
         raise CollinearSteeredStates("steered state coincides with the pure state")
     return (2.0 * radius * point[0] / norm2) * point
 
 
-def triangle_criterion(asm: Assemblage, *, tol: float = 1e-9) -> OracleVerdict:
+def triangle_criterion(asm: Assemblage) -> OracleVerdict:
     """Steerable iff s_minus0 lies strictly outside the triangle spanned by
     the origin and the circle lifts of the second measurement's steered
-    states. Boundary contact within `tol` (relative to R^2) counts as inside,
-    so the oracle only claims steering with clearance."""
+    states. Boundary contact within TRIANGLE_TOL (relative to R^2) counts as
+    inside, so the oracle only claims steering with clearance."""
     r = asm.radius
-    c1 = _lift_to_circle(asm.s_plus1, r, tol)
-    c2 = _lift_to_circle(asm.s_minus1, r, tol)
+    c1 = _lift_to_circle(asm.s_plus1, r)
+    c2 = _lift_to_circle(asm.s_minus1, r)
     x = asm.s_minus0
 
     def cross(a, bb):
@@ -237,7 +242,7 @@ def triangle_criterion(asm: Assemblage, *, tol: float = 1e-9) -> OracleVerdict:
 
     orient = cross(c1, c2)
     scale = r * r
-    if abs(orient) <= tol * scale:
+    if abs(orient) <= TRIANGLE_TOL * scale:
         raise CollinearSteeredStates("degenerate triangle (collinear chord)")
     sgn = 1.0 if orient > 0 else -1.0
     edges = (
@@ -246,7 +251,7 @@ def triangle_criterion(asm: Assemblage, *, tol: float = 1e-9) -> OracleVerdict:
         cross(-c2, x - c2) * sgn / np.linalg.norm(c2),
     )
     depth = float(min(edges))
-    return OracleVerdict(steerable=depth < -tol * scale, depth=depth, c1=c1, c2=c2)
+    return OracleVerdict(steerable=depth < -TRIANGLE_TOL * scale, depth=depth, c1=c1, c2=c2)
 
 
 def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
@@ -292,12 +297,7 @@ def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
     return None
 
 
-def triangle_search(
-    asm: Assemblage,
-    *,
-    grid: int = 2000,
-    tol: float = 1e-9,
-) -> TriangleSearchResult | None:
+def triangle_search(asm: Assemblage, *, grid: int = 2000) -> TriangleSearchResult | None:
     """Brute-force sweep for an explicit local model.
 
     s2 runs over the segment from s_plus1 to its circle lift; the matching s3
@@ -308,8 +308,8 @@ def triangle_search(
     point admits a model (the steerable case).
     """
     r = asm.radius
-    c1 = _lift_to_circle(asm.s_plus1, r, tol)
-    c2 = _lift_to_circle(asm.s_minus1, r, tol)
+    c1 = _lift_to_circle(asm.s_plus1, r)
+    c2 = _lift_to_circle(asm.s_minus1, r)
     found, index, lam2, lam3, eps0 = kernels.triangle_sweep(
         asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0, grid
     )
@@ -322,7 +322,7 @@ def triangle_search(
     s3 = asm.s_minus1 + lam3 * (c2 - asm.s_minus1)
     n2 = np.linalg.norm(s2)
     n3 = np.linalg.norm(s3)
-    if n2 < tol or n3 < tol:
+    if n2 < TRIANGLE_TOL or n3 < TRIANGLE_TOL:
         return None
     eps_p1 = 1.0 - np.linalg.norm(asm.s_plus1) / n2
     eps_m1 = 1.0 - np.linalg.norm(asm.s_minus1) / n3

@@ -140,7 +140,7 @@ def state_from_density(rho, *, tol: float = TOL_PSD) -> TwoQubitState:
     return TwoQubitState(a=coeff[1:, 0].copy(), b=coeff[0, 1:].copy(), T=coeff[1:, 1:].copy())
 
 
-def steered_ensemble(state: TwoQubitState, axis, *, tol: float = TOL_PROB) -> SteeredEnsemble:
+def steered_ensemble(state: TwoQubitState, axis) -> SteeredEnsemble:
     """Bob's steered ensemble for Alice's projective measurement along a unit axis.
 
     For outcome r in {+1, -1} the probability is (1 + r axis.a)/2 and the
@@ -148,28 +148,28 @@ def steered_ensemble(state: TwoQubitState, axis, *, tol: float = TOL_PROB) -> St
     """
     n = _as_vec3(axis, "axis")
     norm = np.linalg.norm(n)
-    if norm <= tol:
+    if norm <= TOL_PROB:
         raise ValueError("measurement axis must be a nonzero vector")
     n = n / norm
     probs = np.empty(2)
     points = np.empty((2, 3))
     for idx, r in enumerate((1.0, -1.0)):
         w = 1.0 + r * (n @ state.a)
-        if w <= tol:
+        if w <= TOL_PROB:
             raise DegenerateOutcome(f"outcome {int(r):+d} along axis has probability {w / 2.0:.3e}")
         probs[idx] = w / 2.0
         points[idx] = (state.b + r * (state.T.T @ n)) / w
     return SteeredEnsemble(axis=n, probabilities=probs, points=points)
 
 
-def canonical_form(state: TwoQubitState, *, tol: float = TOL_GEOM) -> TwoQubitState:
+def canonical_form(state: TwoQubitState) -> TwoQubitState:
     """Alice-side filter to the canonical frame (a = 0, b = ellipsoid centre).
 
     Applies K (x) I with K = (I + a.sigma)^(-1/2), which preserves the steering
     ellipsoid. Raises AliceReducedPure when Alice's marginal is pure.
     """
     gap = state.alice_purity_gap()
-    if gap <= tol:
+    if gap <= TOL_GEOM:
         raise AliceReducedPure(f"1 - |a|^2 = {gap:.3e}")
     two_rho_a = _I2 + sum(state.a[i] * PAULI[i] for i in range(3))
     w, v = np.linalg.eigh(two_rho_a)

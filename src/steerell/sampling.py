@@ -19,6 +19,9 @@ from .ellipsoid import (
 )
 from .paulicore import TwoQubitState, state_from_density
 
+# draws a rejection sampler makes before it gives up
+_MAX_TRIES = 200
+
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4, rank: int | None = None) -> np.ndarray:
     """Ginibre-induced random density matrix."""
@@ -29,13 +32,14 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4, rank: int | No
     return rho / np.trace(rho).real
 
 
-def random_state(rng: np.random.Generator, rank: int | None = None) -> TwoQubitState:
-    """Random two-qubit state (full rank by default)."""
-    return state_from_density(random_density_matrix(rng, 4, rank))
+def random_state(rng: np.random.Generator) -> TwoQubitState:
+    """Random full-rank two-qubit state."""
+    return state_from_density(random_density_matrix(rng))
 
 
-def random_ket(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def random_ket(rng: np.random.Generator) -> np.ndarray:
+    """Random qubit ket."""
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
 
 
@@ -54,61 +58,50 @@ def _kernel_tangent_density(rng: np.random.Generator) -> np.ndarray:
     return basis @ small @ basis.conj().T
 
 
-def random_tangent_state(
-    rng: np.random.Generator,
-    *,
-    min_semiaxis: float = 0.05,
-    min_gap: float = 0.05,
-    max_tries: int = 200,
-):
+def random_tangent_state(rng: np.random.Generator):
     """Random physical state with a single-contact tangent ellipsoid.
 
     Returns (state, ellipsoid, tangency_report). Rejects samples with a nearly
-    pure Alice marginal, a nearly flat ellipsoid, a contact probability outside
-    (0.02, 0.98), or a contact point too close to the reduced point b.
+    pure Alice marginal (1 - |a|^2 < 0.05), a nearly flat ellipsoid (least
+    semiaxis below 0.05), a contact probability outside (0.02, 0.98), or a
+    contact point within 0.05 of the reduced point b.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         rho = _kernel_tangent_density(rng)
         try:
             state = state_from_density(rho)
         except Exception:
             continue
-        if state.alice_purity_gap() < min_gap:
+        if state.alice_purity_gap() < 0.05:
             continue
         try:
             ell = steering_ellipsoid(state)
         except Exception:
             continue
-        if ell.semiaxes[2] < min_semiaxis:
+        if ell.semiaxes[2] < 0.05:
             continue
         rep = tangency(ell)
         if rep.status != SINGLE_TANGENT:
             continue
         if rep.p_probability is None or not (0.02 < rep.p_probability < 0.98):
             continue
-        if np.linalg.norm(rep.point - state.b) < min_gap:
+        if np.linalg.norm(rep.point - state.b) < 0.05:
             continue
         return state, ell, rep
     raise RuntimeError("failed to sample a well-conditioned tangent state")
 
 
-def random_tangent_ellipsoid(
-    rng: np.random.Generator,
-    *,
-    lo: float = 0.1,
-    hi: float = 0.7,
-    max_tries: int = 200,
-):
+def random_tangent_ellipsoid(rng: np.random.Generator):
     """Random abstract ellipsoid tangent to the unit sphere from inside.
 
-    Draws semiaxes and orientation, then places the centre at
+    Draws semiaxes uniform in [0.1, 0.7] and an orientation, then places the centre at
     p - W p / sqrt(p' W p) for a random contact direction p, which is the
     unique centre putting the surface through p with outward normal p.
     Returns (ellipsoid, p). Rejection keeps only fully nested single contacts.
     """
     dirs = _fibonacci_sphere(400)
-    for _ in range(max_tries):
-        semi = np.sort(rng.uniform(lo, hi, 3))[::-1]
+    for _ in range(_MAX_TRIES):
+        semi = np.sort(rng.uniform(0.1, 0.7, 3))[::-1]
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 2] = -q[:, 2]
@@ -131,20 +124,18 @@ def random_tangent_ellipsoid(
     raise RuntimeError("failed to sample a nested tangent ellipsoid")
 
 
-def random_interior_point(
-    rng: np.random.Generator, ell: SteeringEllipsoid, *, margin: float = 0.15
-) -> np.ndarray:
-    """Uniform point in the ellipsoid shrunk by (1 - margin) about its centre."""
+def random_interior_point(rng: np.random.Generator, ell: SteeringEllipsoid) -> np.ndarray:
+    """Uniform point in the ellipsoid shrunk by the factor 0.85 about its centre."""
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    u = (1.0 - margin) * rng.uniform() ** (1.0 / 3.0)
+    u = 0.85 * rng.uniform() ** (1.0 / 3.0)
     return ell.centre + ell.axes @ (ell.semiaxes * v) * u
 
 
-def random_nested_section(rng: np.random.Generator, *, max_tries: int = 200):
+def random_nested_section(rng: np.random.Generator):
     """(m, n, delta, R) of a random ellipse tangent at the origin, nested in
     the circle of radius R through the origin."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         r_circ = rng.uniform(0.4, 1.0)
         m = rng.uniform(0.15, 0.95) * r_circ
         n = rng.uniform(0.2, 1.0) * np.sqrt(m * r_circ)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steerell import cli, families, state_to_json_dict
+from steerell import cli, families, sampling, state_to_json_dict
 
 
 def _write_state(path, obj):
@@ -168,6 +168,17 @@ def test_section_command(capsys, obese_file):
     assert payload["plane_p_min"] <= payload["plane_p_max"]
 
 
+def test_section_without_single_contact_exits_3(capsys, tmp_path):
+    # a full-rank state's ellipsoid is strictly inside the ball
+    state = sampling.random_state(np.random.default_rng(1))
+    path = _write_state(tmp_path / "generic.json", state_to_json_dict(state))
+    code, out, err = _run(capsys, ["section", "--state", path, "--normal", "0,1,0"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "NoContact" in err
+
+
 def test_section_rejects_bad_normal(capsys, obese_file):
     code, _out, err = _run(capsys, ["section", "--state", obese_file, "--normal", "1,0"])
     assert code == 1
@@ -175,6 +186,11 @@ def test_section_rejects_bad_normal(capsys, obese_file):
     code2, _out2, err2 = _run(capsys, ["section", "--state", obese_file, "--normal", "0,0,0"])
     assert code2 == 1
     assert "nonzero" in err2
+    # the obese ellipsoid touches the sphere at +z: this is its tangent plane
+    code3, out3, err3 = _run(capsys, ["section", "--state", obese_file, "--normal", "0,0,1"])
+    assert code3 == 1
+    assert out3 == ""
+    assert err3.startswith("error: ") and "tangent plane" in err3
 
 
 def test_family_sweep_sphere(capsys):
@@ -244,6 +260,36 @@ def test_family_sweep_rejects_unknown_param_name(capsys, family, names):
     assert out == ""
     assert "'x'" in err
     assert "one of: " + ", ".join(names) in err
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Fail the test if a sweep computes a row."""
+
+    def row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_sweep_row", row)
+
+
+CAP_ARGV = {
+    # np.linspace would need 8 TB for this grid
+    "count": ["--family", "obese", "--param", "c=0:0.9:1000000000000"],
+    # the product is 0, but one count alone is above the cap
+    "empty": ["--family", "spheroid", "--param", "m=0.5:0.5:0", "--param", "n=0:0.7:1000000000000"],
+    # each count is within the cap, their product of 1e9 grid points is not
+    "product": ["--family", "xstate"] + [a for n in "abt" for a in ("--param", f"{n}=0.1:0.2:1000")],
+    # m's count is within the cap, but not times n's default count of 7
+    "default": ["--family", "spheroid", "--param", f"m=0.9:0.9:{cli.MAX_SWEEP_POINTS // 7 + 1}"],
+}
+
+
+@pytest.mark.parametrize("argv", CAP_ARGV.values(), ids=CAP_ARGV)
+def test_family_sweep_rejects_grids_above_the_cap(capsys, no_rows, argv):
+    code, out, err = _run(capsys, ["family-sweep"] + argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--param" in err
 
 
 def test_family_sweep_rejects_unknown_family(capsys):

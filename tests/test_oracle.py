@@ -174,11 +174,11 @@ def test_no_pure_state_for_untangent_ellipsoid():
 
 
 def test_lift_to_circle_values():
-    lifted = _lift_to_circle(np.array([0.3, 0.0]), 0.5, 1e-9)
+    lifted = _lift_to_circle(np.array([0.3, 0.0]), 0.5)
     npt.assert_allclose(lifted, [1.0, 0.0], atol=1e-12)
     # points already on the circle are fixed
     t = 1.1
     on_circle = np.array([0.5 * (1 - np.cos(t)), 0.5 * np.sin(t)])
-    npt.assert_allclose(_lift_to_circle(on_circle, 0.5, 1e-9), on_circle, atol=1e-12)
+    npt.assert_allclose(_lift_to_circle(on_circle, 0.5), on_circle, atol=1e-12)
     with pytest.raises(CollinearSteeredStates):
-        _lift_to_circle(np.array([0.0, 0.3]), 0.5, 1e-9)
+        _lift_to_circle(np.array([0.0, 0.3]), 0.5)
