@@ -64,17 +64,20 @@ def _emit(payload, out_path):
 
 def _load_state(path, tol):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    # ValueError: not UTF-8, not JSON, or an integer longer than int() accepts;
+    # RecursionError: nested deeper than the decoder allows
+    except (ValueError, RecursionError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid JSON in {path}: {exc}")
     try:
         return state_from_json_dict(data, tol=tol)
     except NonPhysical as exc:
         raise _CliError(EXIT_NONPHYSICAL, f"unphysical state: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer beyond float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _CliError(EXIT_USAGE, f"bad state file {path}: {exc}")
 
 
@@ -476,10 +479,14 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args keeps no state between calls, and each
+# call gets a fresh namespace
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (1)
         return exc.code
     try:

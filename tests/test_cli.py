@@ -348,3 +348,66 @@ def test_oracle_compare_small_run(capsys):
     assert payload["agreement"] == 1.0
     assert payload["n_models_missing"] == 0
     assert payload["max_reconstruction_residual"] < 1e-8
+
+
+def _grid_rows(out, names):
+    return [tuple(float(row[name]) for name in names) for row in csv.DictReader(io.StringIO(out))]
+
+
+def test_consecutive_calls_share_no_state(capsys, obese_file):
+    """main parses every call with one parser built at import; no option
+    value, appended list or error state may carry over to the next call."""
+    analyze = ["analyze", "--state", obese_file, "--planes", "12"]
+    code, first, _ = _run(capsys, analyze)
+    assert code == 0
+    assert json.loads(first)["p_bounds"]["n_planes"] == 6 * 24
+
+    # --param appends to a list; a call without it sweeps the default grid
+    sweep = ["family-sweep", "--family", "spheroid", "--planes", "4"]
+    code, out, _ = _run(capsys, sweep + ["--param", "m=0.5:0.6:2", "--param", "n=0.3:0.3:1"])
+    assert code == 0
+    assert _grid_rows(out, "mn") == [(0.5, 0.3), (0.6, 0.3)]
+    default = [(m, n) for m in np.linspace(0.2, 0.8, 7) for n in np.linspace(0.2, 0.8, 7) if n * n <= m]
+    code, out, _ = _run(capsys, sweep)
+    assert code == 0
+    assert _grid_rows(out, "mn") == default
+    code, out, _ = _run(capsys, sweep + ["--param", "n=0.3:0.3:1"])
+    assert code == 0
+    assert _grid_rows(out, "mn") == [(m, 0.3) for m in np.linspace(0.2, 0.8, 7)]
+
+    # --planes falls back to its default of 180: a 90 x 360 hemisphere
+    code, out, _ = _run(capsys, ["analyze", "--state", obese_file])
+    assert code == 0
+    assert json.loads(out)["p_bounds"]["n_planes"] == 32400
+
+    # a usage error exits 1 through _Parser.error, and leaves the next call
+    # free to succeed and the one after to fail the same way
+    code, out, err = _run(capsys, ["analyze", "--state", obese_file, "--planes", "0"])
+    assert (code, out) == (1, "")
+    assert "argument --planes:" in err
+    code, _out, err = _run(capsys, ["tangency", "--state", obese_file])
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, ["family-sweep", "--family", "cube"])
+    assert (code, out) == (1, "")
+    assert "argument --family:" in err
+
+    code, out, _ = _run(capsys, ["--help"])
+    assert code == 0
+    assert "family-sweep" in out
+    code, out, err = _run(capsys, ["tangency", "--state", obese_file])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tangency"]["status"] == "SingleTangent"
+
+    code, last, _ = _run(capsys, analyze)
+    assert code == 0
+    assert last == first
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch, obese_file):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    for _ in range(2):
+        code, _out, err = _run(capsys, ["tangency", "--state", obese_file])
+        assert (code, err) == (0, "")

@@ -5,7 +5,8 @@ option values and state files of every kind, ends in a documented exit code
 The examples are derandomized (tests/conftest.py), so the suite runs the
 same inputs every time.
 `--planes` stays small and grids have at most three points, which keeps the
-two tests to a few seconds.
+two fuzz tests to a few seconds. State files that the JSON decoder or the
+float conversion rejects run once through every `--state` subcommand.
 """
 import contextlib
 import io
@@ -99,6 +100,15 @@ state_texts = st.one_of(
     state_objects.map(json.dumps),
     st.sampled_from(["", "{not json", '{"a": [NaN, 0, 0], "b": [0, 0, 0], "T": [[0, 0, 0]]', "[]"]),
 )
+# files that are not a state even before the state is checked: the decoder or
+# the float conversion fails on them
+_PAULI_TEXT = '{{"a": [0, 0, 0], "b": [{b}, 0, 0], "T": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}'
+HOSTILE_FILES = {
+    "not utf-8": b"\xff\xfe{\x00}\x00",
+    "nested too deep": b"[" * 100_000,
+    "integer beyond float range": _PAULI_TEXT.format(b="9" * 400).encode(),
+    "integer beyond int() digit limit": _PAULI_TEXT.format(b="9" * 5000).encode(),
+}
 
 planes = st.sampled_from(["1", "2", "3", "4", "6", "0", "-3", "abc", "2.5", ""])
 bands = st.sampled_from(["0", "1e-8", "0.5", "-1e-9", "nan", "inf", "x"])
@@ -150,6 +160,18 @@ def test_state_commands_end_in_a_documented_exit_code(workdir, data):
         json.loads(out)
     if code != 0:
         assert err
+
+
+@pytest.mark.parametrize("command", ["analyze", "tangency", "section"])
+@pytest.mark.parametrize("kind", HOSTILE_FILES)
+def test_hostile_state_files_exit_1_naming_the_file(workdir, command, kind):
+    state = workdir / "hostile.json"
+    state.write_bytes(HOSTILE_FILES[kind])
+    argv = [command, "--state", str(state)] + (["--normal", "0,1,0"] if command == "section" else [])
+    code, out, err = _main(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert f"invalid JSON in {state}:" in err or f"bad state file {state}:" in err
 
 
 # family parameters: in range, at or past the edges, and malformed
