@@ -44,6 +44,9 @@ EXIT_USAGE = 1
 EXIT_NONPHYSICAL = 2
 EXIT_NO_TANGENCY = 3
 
+# the errors that mean the scenario does not apply to a valid state (exit 3)
+_NOT_IN_SCENARIO = (NoTangency, DegenerateEllipsoid, InvalidReducedState)
+
 
 def _write(text, out_path):
     if not out_path:
@@ -72,10 +75,9 @@ def _load_state(path, tol):
     # RecursionError: nested deeper than the decoder allows
     except (ValueError, RecursionError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid JSON in {path}: {exc}")
+    # NonPhysical passes through to main, which exits 2
     try:
         return state_from_json_dict(data, tol=tol)
-    except NonPhysical as exc:
-        raise _CliError(EXIT_NONPHYSICAL, f"unphysical state: {exc}")
     # OverflowError: an integer beyond float range
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _CliError(EXIT_USAGE, f"bad state file {path}: {exc}")
@@ -116,7 +118,7 @@ def cmd_analyze(args):
     }
     try:
         _analyze(state, args, payload)
-    except (NoTangency, DegenerateEllipsoid, InvalidReducedState) as exc:
+    except _NOT_IN_SCENARIO as exc:
         # the scenario does not apply: report what was computed, then exit 3
         payload["error"] = str(exc)
         _emit(payload, args.out)
@@ -497,7 +499,7 @@ def main(argv=None):
     except NonPhysical as exc:
         sys.stderr.write(f"error: unphysical state: {exc}\n")
         return EXIT_NONPHYSICAL
-    except (NoTangency, DegenerateEllipsoid, InvalidReducedState) as exc:
+    except _NOT_IN_SCENARIO as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_TANGENCY
     except SteerellError as exc:

@@ -25,12 +25,10 @@ import numpy as np
 
 from . import kernels
 from .ellipsoid import (
-    SINGLE_TANGENT,
     PlaneSection,
     SteeringEllipsoid,
     check_on_both_surfaces,
     plane_section,  # noqa: F401  (perfbench/test_perfbench.py reads criteria.plane_section)
-    tangency,
 )
 from .errors import (
     AtInfinity,
@@ -38,7 +36,6 @@ from .errors import (
     DegeneratePlane,
     InvalidReducedState,
     NotOnSurface,
-    NoTangency,
 )
 from .projective import Homology, apply, conic_value, homology, tangent_ellipse_conic
 from .tolerances import BOUNDARY_BAND, TOL_GEOM
@@ -167,16 +164,30 @@ def _pencil(p, b, n_planes):
     return e1, e2, np.linspace(0.0, np.pi, n_planes, endpoint=False)
 
 
-def _resolve_contact(ell: SteeringEllipsoid, p):
-    if p is not None:
-        return np.asarray(p, dtype=float)
-    rep = tangency(ell)
-    if rep.status != SINGLE_TANGENT:
-        raise NoTangency(f"ellipsoid contact is {rep.status}, need SingleTangent")
-    return rep.point
+def _contact(ell: SteeringEllipsoid, p, b):
+    """(minv, Q, M', g') at the contact point p, the inverse shape matrix and
+    the contact frame of `kernels.contact_frame`.
+
+    Raises NotOnSurface unless p is on the unit sphere and on the ellipsoid
+    with the ellipsoid normal there along p, i.e. unless p is the contact
+    point, and InvalidReducedState when b is given and outside the ellipsoid.
+    """
+    minv = check_on_both_surfaces(ell, p)
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+    # every section through p is tangent to its v axis at p only if the
+    # ellipsoid normal at p is along p
+    if math.hypot(gp[0], gp[1]) > 1e-6 * np.linalg.norm(gp):
+        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    if b is not None:
+        # ell.surface_value(b), on the matrix already built
+        d = b - ell.centre
+        value = float(d @ minv @ d - 1.0)
+        if value > TOL_GEOM:
+            raise InvalidReducedState(f"b is outside the ellipsoid (value {value:.3e})")
+    return minv, q, mp, gp
 
 
-def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> LocusResult:
+def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusResult:
     """h points and margins of b over the pencil of planes through p and b.
 
     All planes are reduced in one array pass in the contact frame of
@@ -189,17 +200,10 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> Loc
     Raises NotOnSurface unless p is the contact point, InvalidReducedState
     when b is at p or outside the ellipsoid.
     """
-    p = _resolve_contact(ell, p)
+    p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
+    _, q, mp, gp = _contact(ell, p, b)
     e1, e2, ts = _pencil(p, b, n_planes)
-    check_on_both_surfaces(ell, p)
-    q, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, p)
-    # every pencil section is tangent to its v axis at p only if the
-    # ellipsoid normal at p is along p
-    if math.hypot(gp[0], gp[1]) > 1e-6 * np.linalg.norm(gp):
-        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
-    if ell.surface_value(b) > TOL_GEOM:
-        raise InvalidReducedState(f"b is outside the ellipsoid (value {ell.surface_value(b):.3e})")
     x, y, d = kernels.pencil_normals(q @ e1, q @ e2, ts)
     mu, nu, ga, r2, valid = kernels.reduce_planes(mp, gp, x, y, d)
     if not valid.all():
@@ -218,7 +222,7 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> Loc
     return LocusResult(points=points, margins=margins, normals=normals)
 
 
-def classify_locus(ell: SteeringEllipsoid, b, *, n_planes: int = 180, p=None) -> str:
+def classify_locus(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> str:
     """AllInside / Crossing / AllOutside classification of the h locus.
 
     AllInside means h falls inside the section ellipse in every pencil plane
@@ -353,7 +357,7 @@ def _hemisphere_grid(n_theta: int, n_phi: int):
 def p_bounds(
     ell: SteeringEllipsoid,
     *,
-    p=None,
+    p,
     b=None,
     resolution: tuple[int, int] = (180, 360),
     refine: bool = True,
@@ -378,89 +382,94 @@ def p_bounds(
     threshold is even in the normal, and its pole a = 0 is the tangent
     plane. Planes with R < 5e-3 count as +inf there. In pencil mode it runs
     over the pencil angle t. The global minimum is clamped at 0.
+
+    Raises NotOnSurface unless p is the contact point, InvalidReducedState
+    when b is at p or outside the ellipsoid.
     """
-    p = _resolve_contact(ell, p)
-    minv = ell.inverse_shape_matrix()
-    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+    p = np.asarray(p, dtype=float)
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+    minv, q, mp, gp = _contact(ell, p, b)
     # the refinement evaluates one plane at a time, on Python floats
     mp_f, gp_f = mp.tolist(), gp.tolist()
+    # Each mode gives its scan (lo, hi, valid) and its chart: the chart
+    # point of grid plane i, the signed value to minimise at a chart point
+    # (+inf on planes it rejects), the normal at a chart point, and grid
+    # plane i's own normal.
     if b is None:
+        mode = "ellipsoid"
         normals = _hemisphere_grid(*resolution)
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
-        invalid = ~valid
-        lo[invalid] = np.inf
-        hi[invalid] = -np.inf
-        imin = int(np.argmin(lo))
-        imax = int(np.argmax(hi))
-        p_min, p_max = float(lo[imin]), float(hi[imax])
-        # copies: the grid is shared by every call at this resolution
-        arg_min, arg_max = normals[imin].copy(), normals[imax].copy()
 
-        if refine:
+        def polar(angles):
+            a, b = angles
+            sin_a = math.sin(a)
+            return sin_a * math.cos(b), sin_a * math.sin(b), math.cos(a)
 
-            def polar(angles):
-                a, b = angles
-                sin_a = math.sin(a)
-                return sin_a * math.cos(b), sin_a * math.sin(b), math.cos(a)
+        def chart_point(i):
+            x, y, d = (q @ normals[i]).tolist()
+            return math.atan2(math.hypot(x, y), d), math.atan2(y, x)
 
-            def plane_value(angles, sign):
-                mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, *polar(angles))
-                # reject nearly tangent planes, R < 5e-3; the reduction's
-                # rounding error grows like eps/R (3e-11 relative at
-                # R = 1e-5, measured against exact arithmetic)
-                if not ok or r2 < 5e-3**2:
-                    return np.inf
-                lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
-                return lo_s if sign > 0.0 else -hi_s
+        def signed_value(angles, sign):
+            mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, *polar(angles))
+            # reject nearly tangent planes, R < 5e-3; the reduction's
+            # rounding error grows like eps/R (3e-11 relative at
+            # R = 1e-5, measured against exact arithmetic)
+            if not ok or r2 < 5e-3**2:
+                return np.inf
+            lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
+            return lo_s if sign > 0.0 else -hi_s
 
-            refined = []
-            for sign, normal, value in ((1.0, arg_min, p_min), (-1.0, arg_max, -p_max)):
-                x, y, d = (q @ normal).tolist()
-                start = (math.atan2(math.hypot(x, y), d), math.atan2(y, x))
-                angles, val = _newton_polish(lambda ab: plane_value(ab, sign), start, value)
-                if val < value:
-                    normal = np.array(polar(angles)) @ q
-                refined.append((normal, sign * val))
-            (arg_min, p_min), (arg_max, p_max) = refined
-        mode = "ellipsoid"
-        n_planes = int(valid.sum())
+        def chart_normal(angles):
+            return np.array(polar(angles)) @ q
+
+        def grid_normal(i):
+            # a copy: the grid is shared by every call at this resolution
+            return normals[i].copy()
+
     else:
-        b = np.asarray(b, dtype=float)
-        n_t = max(resolution)
-        e1, e2, ts = _pencil(p, b, n_t)
-        thresh, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
-        tl = np.where(valid, thresh, np.inf)
-        th = np.where(valid, thresh, -np.inf)
-        imin = int(np.argmin(tl))
-        imax = int(np.argmax(th))
-        p_min, p_max = float(tl[imin]), float(th[imax])
+        mode = "pencil"
+        e1, e2, ts = _pencil(p, b, max(resolution))
+        lo, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
+        hi = lo.copy()
         qe1_f, qe2_f, db_f = (q @ e1).tolist(), (q @ e2).tolist(), (q @ (b - p)).tolist()
 
-        def pencil_value(t, sign):
-            x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t)
+        def chart_point(i):
+            return (float(ts[i]),)
+
+        def signed_value(t, sign):
+            x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t[0])
             mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, x, y, d)
             if not ok:
                 return np.inf
             k, ok = kernels.chord_slope(x, y, d, r2, db_f)
             return sign * kernels.pencil_threshold(mu, nu, ga, k) if ok else np.inf
 
-        imin_t, imax_t = float(ts[imin]), float(ts[imax])
-        if refine:
-            (imin_t,), p_min = _newton_polish(lambda t: pencil_value(t[0], 1.0), (imin_t,), p_min)
-            (imax_t,), v = _newton_polish(lambda t: pencil_value(t[0], -1.0), (imax_t,), -p_max)
-            p_max = -v
-        arg_min = np.array(kernels.pencil_normals(e1, e2, imin_t))
-        arg_max = np.array(kernels.pencil_normals(e1, e2, imax_t))
-        mode = "pencil"
-        n_planes = int(valid.sum())
+        def chart_normal(t):
+            return np.array(kernels.pencil_normals(e1, e2, t[0]))
 
+        def grid_normal(i):
+            return chart_normal(chart_point(i))
+
+    invalid = ~valid
+    lo[invalid] = np.inf
+    hi[invalid] = -np.inf
+    imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
+    extremes = []
+    for sign, i, value in ((1.0, imin, float(lo[imin])), (-1.0, imax, -float(hi[imax]))):
+        point, polished = chart_point(i), value
+        if refine:
+            point, polished = _newton_polish(lambda x: signed_value(x, sign), point, value)
+        normal = chart_normal(point) if polished < value else grid_normal(i)
+        extremes.append((sign * polished, normal))
+    (p_min, arg_min), (p_max, arg_max) = extremes
     return ProbBounds(
         p_min=float(max(p_min, 0.0)),
         p_max=float(p_max),
         mode=mode,
         argmin_normal=arg_min,
         argmax_normal=arg_max,
-        n_planes=n_planes,
+        n_planes=int(valid.sum()),
     )
 
 

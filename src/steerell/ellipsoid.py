@@ -333,12 +333,18 @@ class PlaneSection:
         return self.point + u * self.u_axis + v * self.v_axis
 
 
-def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> None:
-    """Raise NotOnSurface unless p lies on the unit sphere and on the ellipsoid surface."""
+def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> np.ndarray:
+    """Raise NotOnSurface unless p lies on the unit sphere and on the ellipsoid
+    surface; return the inverse shape matrix it tested p against."""
     if abs(np.linalg.norm(p) - 1.0) > 1e-6:
         raise NotOnSurface(f"point is not on the unit sphere (|p| = {np.linalg.norm(p):.9f})")
-    if abs(ell.surface_value(p)) > 1e-6:
-        raise NotOnSurface(f"point is not on the ellipsoid surface (value {ell.surface_value(p):.3e})")
+    minv = ell.inverse_shape_matrix()
+    # ell.surface_value(p), on the matrix already built
+    d = p - ell.centre
+    value = float(d @ minv @ d - 1.0)
+    if abs(value) > 1e-6:
+        raise NotOnSurface(f"point is not on the ellipsoid surface (value {value:.3e})")
+    return minv
 
 
 def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
@@ -356,8 +362,7 @@ def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
     if nn <= TOL_GEOM:
         raise ValueError("normal must be a nonzero vector")
     nrm = nrm / nn
-    check_on_both_surfaces(ell, p)
-    minv = ell.inverse_shape_matrix()
+    minv = check_on_both_surfaces(ell, p)
 
     d = float(nrm @ p)
     r2 = 1.0 - d * d

@@ -119,14 +119,18 @@ def x_state_p_bounds(a: float, b: float, t_x: float, t_y: float):
     return base / (base + n_hi * n_hi), base / (base + n_lo * n_lo)
 
 
+def _check_obese(c):
+    if not (0.0 <= c < 1.0):
+        raise InvalidSemiaxes(f"c must lie in [0, 1), got {c}")
+
+
 def obese_state(c: float) -> TwoQubitState:
     """Maximally obese state with centre height c (0 <= c < 1).
 
     Written in the frame where the pure steered state sits at +z for Alice's
     +1 outcome along z; equals tangent_x_state(0, c, sqrt(1-c), -sqrt(1-c)).
     """
-    if not (0.0 <= c < 1.0):
-        raise InvalidSemiaxes(f"c must lie in [0, 1), got {c}")
+    _check_obese(c)
     s = np.sqrt(1.0 - c)
     t = np.diag([s, -s, 1.0 - c])
     return state_from_pauli([0.0, 0.0, 0.0], [0.0, 0.0, c], t)
@@ -135,8 +139,7 @@ def obese_state(c: float) -> TwoQubitState:
 def obese_density_matrix(c: float) -> np.ndarray:
     """Density matrix of the obese state as the two-term mixture
     (1 - c/2) |psi_c><psi_c| + (c/2) |00><00| (before the frame rotation)."""
-    if not (0.0 <= c < 1.0):
-        raise InvalidSemiaxes(f"c must lie in [0, 1), got {c}")
+    _check_obese(c)
     psi = np.zeros(4)
     psi[1] = np.sqrt(1.0 - c)
     psi[2] = 1.0
@@ -148,58 +151,62 @@ def obese_density_matrix(c: float) -> np.ndarray:
 
 def obese_steerable(c: float) -> bool:
     """Obese states are steerable in every section plane iff c < 1."""
-    if not (0.0 <= c < 1.0):
-        raise InvalidSemiaxes(f"c must lie in [0, 1), got {c}")
+    _check_obese(c)
     return True
 
 
 def obese_geometry(c: float):
     """(ellipsoid, b_vec, p) of the obese state, built geometrically."""
-    if not (0.0 <= c < 1.0):
-        raise InvalidSemiaxes(f"c must lie in [0, 1), got {c}")
+    _check_obese(c)
     s = np.sqrt(1.0 - c)
     ell = ellipsoid_from_geometry([0.0, 0.0, c], [s, s, 1.0 - c])
     return ell, np.array([0.0, 0.0, c]), np.array([0.0, 0.0, 1.0])
 
 
-def tangent_sphere_state(r: float) -> TwoQubitState:
-    """Canonical state whose ellipsoid is the sphere of radius r tangent at +z."""
+def _check_sphere(r):
     if not (0.0 < r < 1.0):
         raise InvalidSemiaxes(f"r must lie strictly inside (0, 1), got {r}")
+
+
+def tangent_sphere_state(r: float) -> TwoQubitState:
+    """Canonical state whose ellipsoid is the sphere of radius r tangent at +z."""
+    _check_sphere(r)
     return tangent_x_state(0.0, 1.0 - r, r, -r)
 
 
 def sphere_threshold(r: float) -> float:
     """Steerability threshold of the tangent sphere: p > 1 - r, uniformly over
     planes and chords."""
-    if not (0.0 < r < 1.0):
-        raise InvalidSemiaxes(f"r must lie strictly inside (0, 1), got {r}")
+    _check_sphere(r)
     return 1.0 - r
 
 
 def sphere_inner_radius(r: float) -> float:
     """Radius of the inverse-image sphere (the locus of chord images), r^2."""
-    if not (0.0 < r < 1.0):
-        raise InvalidSemiaxes(f"r must lie strictly inside (0, 1), got {r}")
+    _check_sphere(r)
     return r * r
+
+
+def _check_spheroid(m, n):
+    # n^2 may exceed m by TOL_GEOM: sqrt(m)^2 rounds above m for about one
+    # m in five, and n = sqrt(m) is the marginal (obese) spheroid
+    if not (0.0 < m < 1.0) or n <= 0.0 or n * n > m + TOL_GEOM:
+        raise InvalidSemiaxes(f"need 0 < m < 1 and n^2 <= m, got m = {m}, n = {n}")
 
 
 def tangent_spheroid_state(m: float, n: float) -> TwoQubitState:
     """Canonical state with spheroid semiaxes (n, n, m) tangent at +z.
 
-    Physical iff n^2 <= m (and m < 1); raises InvalidSemiaxes otherwise.
+    Physical iff n^2 <= m (and m < 1); raises InvalidSemiaxes otherwise,
+    with the rule of `spheroid_geometry` and `spheroid_p_bounds`.
     """
-    if not (0.0 < m < 1.0):
-        raise InvalidSemiaxes(f"m must lie strictly inside (0, 1), got {m}")
-    if n <= 0.0 or n * n > m:
-        raise InvalidSemiaxes(f"need 0 < n and n^2 <= m, got n = {n}, m = {m}")
+    _check_spheroid(m, n)
     return tangent_x_state(0.0, 1.0 - m, n, -n)
 
 
 def spheroid_geometry(m: float, n: float):
     """(ellipsoid, b_vec, p) of the tangent spheroid in canonical position."""
-    if not (0.0 < m < 1.0) or n <= 0.0 or n * n > m + TOL_GEOM:
-        raise InvalidSemiaxes(f"need 0 < m < 1 and n^2 <= m, got m = {m}, n = {n}")
+    _check_spheroid(m, n)
     ell = ellipsoid_from_geometry([0.0, 0.0, 1.0 - m], [n, n, m])
     return ell, np.array([0.0, 0.0, 1.0 - m]), np.array([0.0, 0.0, 1.0])
 
@@ -211,8 +218,7 @@ def spheroid_p_bounds(m: float, n: float):
     (m > n) pairs p_max with the axis-parallel limit 1 - n^2/m, oblate
     (m < n) swaps the pairing, and m = n collapses both to 1 - m.
     """
-    if not (0.0 < m < 1.0) or n <= 0.0 or n * n > m + TOL_GEOM:
-        raise InvalidSemiaxes(f"need 0 < m < 1 and n^2 <= m, got m = {m}, n = {n}")
+    _check_spheroid(m, n)
     base = m * (1.0 - m)
     inplane = base / (base + n * n)
     limit = 1.0 - n * n / m

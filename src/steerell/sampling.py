@@ -17,6 +17,7 @@ from .ellipsoid import (
     steering_ellipsoid,
     tangency,
 )
+from .errors import SteerellError
 from .paulicore import TwoQubitState, state_from_density
 
 # draws a rejection sampler makes before it gives up
@@ -68,15 +69,17 @@ def random_tangent_state(rng: np.random.Generator):
     """
     for _ in range(_MAX_TRIES):
         rho = _kernel_tangent_density(rng)
+        # a draw the package rejects is redrawn; numpy's LinAlgError is a
+        # ValueError. Any other exception is a fault and propagates.
         try:
             state = state_from_density(rho)
-        except Exception:
+        except (SteerellError, ValueError):
             continue
         if state.alice_purity_gap() < 0.05:
             continue
         try:
             ell = steering_ellipsoid(state)
-        except Exception:
+        except (SteerellError, ValueError):
             continue
         if ell.semiaxes[2] < 0.05:
             continue

@@ -102,9 +102,10 @@ def test_bad_shape_is_usage_error(capsys, tmp_path):
 
 
 def test_nonphysical_state_exit_code(capsys, nonphysical_file):
-    code, _out, err = _run(capsys, ["analyze", "--state", nonphysical_file])
-    assert code == 2
-    assert "unphysical" in err
+    line = "error: unphysical state: state is not positive semidefinite (min eigenvalue -1.860e-01)\n"
+    for argv in (["analyze"], ["tangency"], ["section", "--normal", "0,1,0"]):
+        code, out, err = _run(capsys, argv + ["--state", nonphysical_file])
+        assert (code, out, err) == (2, "", line)
 
 
 def test_analyze_degenerate_contact(capsys, bell_file):

@@ -34,6 +34,7 @@ from steerell import (
     spheroid_p_bounds,
     steerable_in_plane,
     steering_ellipsoid,
+    tangency,
     tangent_x_geometry,
     x_locus_endpoint,
     x_state_p_bounds,
@@ -92,18 +93,30 @@ def test_reduced_point_outside_section_rejected():
 
 
 def test_locus_rejects_bad_contact_and_reduced_points():
+    # every scan through p takes only the contact point, and only a b inside
+    scans = {
+        "locus_of_h": lambda ell, p, b: locus_of_h(ell, b, n_planes=12, p=p),
+        "full-sphere p_bounds": lambda ell, p, b: p_bounds(ell, p=p, resolution=(7, 14)),
+        "pencil p_bounds": lambda ell, p, b: p_bounds(ell, p=p, b=b, resolution=(7, 14)),
+    }
     ell = _sphere(0.4)
-    with pytest.raises(InvalidReducedState):
-        locus_of_h(ell, [0.0, 0.0, 0.1], p=P_TOP)  # outside the ellipsoid
-    with pytest.raises(InvalidReducedState):
-        locus_of_h(ell, P_TOP, p=P_TOP)
-    with pytest.raises(NotOnSurface):
-        locus_of_h(ell, [0.0, 0.0, 0.6], p=[1.0, 0.0, 0.0])
     # p on both surfaces where they cross: the ellipsoid normal is not along p
     crossing = ellipsoid_from_geometry([0.0, 0.0, 0.8], [0.5, 0.5, 0.5])
     z = 1.39 / 1.6
-    with pytest.raises(NotOnSurface):
-        locus_of_h(crossing, [0.0, 0.0, 0.8], p=[np.sqrt(1.0 - z * z), 0.0, z])
+    bad_contacts = [
+        (ell, [0.0, 0.0, 0.9], "not on the unit sphere"),
+        (ell, [1.0, 0.0, 0.0], "not on the ellipsoid surface"),
+        (crossing, [np.sqrt(1.0 - z * z), 0.0, z], "normal at the point is not along it"),
+    ]
+    for scan in scans.values():
+        for surface, p, message in bad_contacts:
+            with pytest.raises(NotOnSurface, match=message):
+                scan(surface, p, [0.0, 0.0, 0.6])
+    for name in ("locus_of_h", "pencil p_bounds"):
+        with pytest.raises(InvalidReducedState, match="outside the ellipsoid"):
+            scans[name](ell, P_TOP, [0.0, 0.0, 0.1])
+        with pytest.raises(InvalidReducedState, match="coincides with the contact point"):
+            scans[name](ell, P_TOP, P_TOP)
 
 
 def test_degenerate_section_rejected():
@@ -215,7 +228,7 @@ def test_x_geometry_locus_endpoints_frozen():
 def test_classify_locus_obese_all_inside():
     state = obese_state(0.5)
     ell = steering_ellipsoid(state)
-    assert classify_locus(ell, state.b, n_planes=48) == ALL_INSIDE
+    assert classify_locus(ell, state.b, n_planes=48, p=tangency(ell).point) == ALL_INSIDE
 
 
 def test_classify_locus_spheroid_all_outside():

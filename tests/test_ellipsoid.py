@@ -213,6 +213,16 @@ def test_abstract_tangent_sampler_contact(seed):
     npt.assert_allclose(rep.point, p, atol=1e-6)
 
 
+def test_tangent_state_sampler_propagates_faults(monkeypatch):
+    # a rejected draw is redrawn; a fault in the code is not a rejected draw
+    def broken(state):
+        raise TypeError("broken steering_ellipsoid")
+
+    monkeypatch.setattr(sampling, "steering_ellipsoid", broken)
+    with pytest.raises(TypeError, match="broken steering_ellipsoid"):
+        sampling.random_tangent_state(np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # plane sections
 # ---------------------------------------------------------------------------

@@ -82,6 +82,23 @@ def test_spheroid_range_errors():
             spheroid_p_bounds(*bad)
 
 
+def test_spheroid_constructors_share_one_range_rule():
+    # n = sqrt(m) is the marginal spheroid n^2 = m, and sqrt(m)^2 rounds
+    # above m for 130 of these m; the state constructor alone rejected those
+    ms = np.linspace(0.2, 0.8, 601)
+    assert sum(np.sqrt(m) ** 2 > m for m in ms) == 130
+    for m in ms:
+        n = np.sqrt(m)
+        state = tangent_spheroid_state(m, n)
+        ell, _b, _p = spheroid_geometry(m, n)
+        npt.assert_allclose(steering_ellipsoid(state).semiaxes, ell.semiaxes, rtol=0, atol=1e-12)
+        spheroid_p_bounds(m, n)
+    # a transverse semiaxis clearly outside the ball is rejected by all three
+    for make in (tangent_spheroid_state, spheroid_geometry, spheroid_p_bounds):
+        with pytest.raises(InvalidSemiaxes):
+            make(0.5, np.sqrt(0.5 + 1e-8))
+
+
 def test_obese_range_errors():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(InvalidSemiaxes):
