@@ -225,7 +225,7 @@ _FAMILIES = {
     "obese": _Family({"c": (0.0, 0.99, 100)}, lambda c: True, families.obese_state, False),
     "sphere": _Family({"r": (0.05, 0.95, 19)}, lambda r: True, families.tangent_sphere_state, False),
     "spheroid": _Family(
-        {"m": (0.2, 0.8, 7), "n": (0.2, 0.8, 7)}, lambda m, n: n * n <= m, families.tangent_spheroid_state, False
+        {"m": (0.2, 0.8, 7), "n": (0.2, 0.8, 7)}, families.spheroid_fits, families.tangent_spheroid_state, False
     ),
     "xstate": _Family(
         {"a": (0.0, 0.6, 4), "b": (0.2, 0.8, 4), "t": (0.1, 0.9, 5)},

@@ -17,7 +17,6 @@ p > p_max is sufficient and p > p_min necessary for steerability.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -125,21 +124,23 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
     """Probability weight of the pure steered state fixed by p and b.
 
     Equals 1 - |p b| / |p q| with q the far intersection of the line p b with
-    the ellipsoid surface. Raises BOutsideEllipsoid when b is not inside.
+    the ellipsoid surface. Raises NotOnSurface unless p is the contact point
+    (see `_contact_minv`) and BOutsideEllipsoid when b is not inside.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
-    if ell.surface_value(b) > TOL_GEOM:
-        raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {ell.surface_value(b):.3e})")
+    minv = _contact_minv(ell, p)
+    value = _surface_value(minv, ell.centre, b)
+    if value > TOL_GEOM:
+        raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {value:.3e})")
     d = b - p
     length = float(np.linalg.norm(d))
     if length <= TOL_GEOM:
         return 1.0
     direction = d / length
-    minv = ell.inverse_shape_matrix()
     qa = direction @ minv @ direction
     qb = direction @ minv @ (p - ell.centre)
-    q0 = ell.surface_value(p)
+    q0 = _surface_value(minv, ell.centre, p)
     disc = max(qb * qb - qa * q0, 0.0)
     t_far = (-qb + np.sqrt(disc)) / qa
     if t_far < length - TOL_GEOM:
@@ -164,36 +165,50 @@ def _pencil(p, b, n_planes):
     return e1, e2, np.linspace(0.0, np.pi, n_planes, endpoint=False)
 
 
+def _surface_value(minv, centre, x):
+    """ell.surface_value(x), on an inverse shape matrix already built."""
+    d = x - centre
+    return float(d @ minv @ d - 1.0)
+
+
+def _contact_minv(ell: SteeringEllipsoid, p):
+    """The inverse shape matrix, once p is checked to be the contact point.
+
+    Raises NotOnSurface unless p is on the unit sphere and on the ellipsoid
+    with the ellipsoid normal there along p.
+    """
+    minv = check_on_both_surfaces(ell, p)
+    # every section through p is tangent to its v axis at p only if the
+    # ellipsoid normal at p is along p
+    g = minv @ (p - ell.centre)
+    if np.linalg.norm(kernels.cross3(g, p)) > 1e-6 * np.linalg.norm(g):
+        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    return minv
+
+
 def _contact(ell: SteeringEllipsoid, p, b):
     """(minv, Q, M', g') at the contact point p, the inverse shape matrix and
     the contact frame of `kernels.contact_frame`.
 
-    Raises NotOnSurface unless p is on the unit sphere and on the ellipsoid
-    with the ellipsoid normal there along p, i.e. unless p is the contact
-    point, and InvalidReducedState when b is given and outside the ellipsoid.
+    Raises NotOnSurface unless p is the contact point (`_contact_minv`), and
+    InvalidReducedState when b is given and outside the ellipsoid.
     """
-    minv = check_on_both_surfaces(ell, p)
-    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
-    # every section through p is tangent to its v axis at p only if the
-    # ellipsoid normal at p is along p
-    if math.hypot(gp[0], gp[1]) > 1e-6 * np.linalg.norm(gp):
-        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    minv = _contact_minv(ell, p)
     if b is not None:
-        # ell.surface_value(b), on the matrix already built
-        d = b - ell.centre
-        value = float(d @ minv @ d - 1.0)
+        value = _surface_value(minv, ell.centre, b)
         if value > TOL_GEOM:
             raise InvalidReducedState(f"b is outside the ellipsoid (value {value:.3e})")
-    return minv, q, mp, gp
+    return (minv, *kernels.contact_frame(minv, ell.centre, p))
 
 
 def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusResult:
     """h points and margins of b over the pencil of planes through p and b.
 
     All planes are reduced in one array pass in the contact frame of
-    `kernels.contact_frame`: each plane's (R alpha, R beta, gamma) and R^2
-    come from `kernels.reduce_planes`, b's in-plane coordinates (u_b, v_b),
-    scaled by R, from `kernels.chord_coords`, and
+    `kernels.contact_frame`: each plane's radius R comes from
+    `kernels.polar_factors`, its (R alpha, R beta, gamma) from
+    `kernels.reduce_planes`, b's in-plane coordinates (u_b, v_b), scaled by
+    R, from `kernels.chord_coords`, and
     h = (u_b, v_b) / (alpha u_b + beta v_b + gamma). Rows where h maps to the
     line at infinity stay NaN.
 
@@ -205,12 +220,13 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusRes
     _, q, mp, gp = _contact(ell, p, b)
     e1, e2, ts = _pencil(p, b, n_planes)
     x, y, d = kernels.pencil_normals(q @ e1, q @ e2, ts)
-    mu, nu, ga, r2, valid = kernels.reduce_planes(mp, gp, x, y, d)
+    radius, c, cos_b, sin_b, valid = kernels.polar_factors(x, y, d)
     if not valid.all():
         # such a plane has normal +-p, which puts b on the tangent plane at p
         raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
+    mu, nu, ga = kernels.reduce_planes(mp, gp, radius, c, cos_b, sin_b)
+    r2 = radius * radius
     wu, wv = kernels.chord_coords(x, y, d, r2, q @ (b - p))
-    radius = np.sqrt(r2)
     margins = kernels.plane_margin(mu, nu, ga, radius, wu / radius, wv / radius)
     # den = r2 (alpha u_b + beta v_b + gamma); h = p + (w_u u' + w_v v') / den
     # with u' = (d x, d y, -r2) and v' = (-y, x, 0) the R-scaled in-plane axes
@@ -260,7 +276,7 @@ _FD_STEP = 1e-5
 _EIG_FLOOR = 1e-8
 _MAX_STEP = 0.05
 _MIN_STEP = 1e-7
-_MAX_ITERATIONS = 50
+_MAX_ITERATIONS = 200
 
 
 def _newton_polish(fun, x, fx):
@@ -275,8 +291,12 @@ def _newton_polish(fun, x, fx):
     and stopping there left p_min up to 2.5e-10 high. The polish stops after
     a step shorter than 1e-7, on a step that no halving made lower, on a
     non-finite value in the stencil (near-tangent planes evaluate to +inf),
-    or after 50 steps. Returns the best (x, fun(x)) evaluated, so never a
-    worse point than the start.
+    or after 200 steps. Where the curvature is below the rounding noise of
+    the central differences (about 1e-6 here), the steps stay short: from
+    a grid extreme near the pole of the full-sphere chart, one polish took
+    74 steps along a valley flat to 4e-9 over a radian, and a cap of 50
+    left p_max 1.2e-9 low. Returns the best (x, fun(x)) evaluated, so never
+    a worse point than the start.
     """
     h = _FD_STEP
     best_x, best_f = x, fx
@@ -332,28 +352,6 @@ def _newton_polish(fun, x, fx):
     return best_x, best_f
 
 
-@functools.lru_cache(maxsize=4)
-def _hemisphere_grid(n_theta: int, n_phi: int):
-    """Normals of the full-sphere scan, an (n, 3) read-only array.
-
-    n and -n give the same plane, so the grid covers the upper hemisphere of
-    the (n_theta, n_phi) grid of normals, plus the equator row when n_theta
-    is odd. It depends on the resolution alone, so it is built once for each.
-    """
-    thetas = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
-    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    sin_t = np.sin(thetas)[:, None]
-    comp = np.empty((3, len(thetas), n_phi))
-    comp[0] = sin_t * np.cos(phis)
-    comp[1] = sin_t * np.sin(phis)
-    comp[2] = np.cos(thetas)[:, None]
-    # an (n, 3) view of contiguous component rows, which the kernel rotates
-    # into the contact frame with one matrix product per block
-    normals = comp.reshape(3, -1).T
-    normals.flags.writeable = False
-    return normals
-
-
 def p_bounds(
     ell: SteeringEllipsoid,
     *,
@@ -364,24 +362,26 @@ def p_bounds(
 ) -> ProbBounds:
     """Global probability bounds over plane scans.
 
-    With b=None every plane through the contact point p is scanned, one
-    normal per plane (a hemisphere of the (n_theta, n_phi) grid of normals,
-    since n and -n give the same plane), and the per-plane extremal
-    thresholds over all chord slopes are aggregated (sufficient / necessary
-    bounds for steerability of any reduced point); n_planes counts the
-    valid planes scanned.
+    With b=None every plane through the contact point p is scanned on the
+    contact-frame polar grid of `kernels.polar_grid`: normals (x, y, d) =
+    (sin a cos b, sin a sin b, cos a) in the frame of `kernels.contact_frame`,
+    with a_i = (i + 1/2) pi / n_theta for i < ceil(n_theta / 2) and
+    b_j = 2 pi j / n_phi, one normal per plane since n and -n give the same
+    plane. The per-plane extremal thresholds over all chord slopes are
+    aggregated (sufficient / necessary bounds for steerability of any reduced
+    point); n_planes counts the planes scanned, ceil(n_theta / 2) n_phi.
     With b given, only the pencil of planes containing the line p b is
     scanned and the per-plane threshold is evaluated at b's own chord slope,
-    which bounds the thresholds actually faced by that reduced point.
+    which bounds the thresholds actually faced by that reduced point;
+    n_planes counts the pencil planes where b's chord is valid.
 
     With refine=True each grid extreme is polished by `_newton_polish`,
     started at the grid point with its grid value, so no refined bound is
-    worse than the grid's. In full-sphere mode it runs over the
-    contact-frame polar angles (a, b) of the normal, (x, y, d) =
-    (sin a cos b, sin a sin b, cos a); the chart needs no wrapping, as the
-    threshold is even in the normal, and its pole a = 0 is the tangent
-    plane. Planes with R < 5e-3 count as +inf there. In pencil mode it runs
-    over the pencil angle t. The global minimum is clamped at 0.
+    worse than the grid's. In full-sphere mode it runs over the polar angles
+    (a, b) of the grid; the chart needs no wrapping, as the threshold is even
+    in the normal, and its pole a = 0 is the tangent plane. Planes with
+    R = |sin a| < 5e-3 count as +inf there. In pencil mode it runs over the
+    pencil angle t. The global minimum is clamped at 0.
 
     Raises NotOnSurface unless p is the contact point, InvalidReducedState
     when b is at p or outside the ellipsoid.
@@ -390,48 +390,45 @@ def p_bounds(
     if b is not None:
         b = np.asarray(b, dtype=float)
     minv, q, mp, gp = _contact(ell, p, b)
-    # the refinement evaluates one plane at a time, on Python floats
+    # the scans and the refinement take M' and g' as Python floats
     mp_f, gp_f = mp.tolist(), gp.tolist()
-    # Each mode gives its scan (lo, hi, valid) and its chart: the chart
-    # point of grid plane i, the signed value to minimise at a chart point
-    # (+inf on planes it rejects), the normal at a chart point, and grid
-    # plane i's own normal.
+    # Each mode gives its scan's extremes (lo_min at plane imin, hi_max at
+    # plane imax, over n_planes planes) and its chart: the chart point of
+    # grid plane i, the signed value to minimise at a chart point (+inf on
+    # planes it rejects), and the normal at a chart point.
     if b is None:
         mode = "ellipsoid"
-        normals = _hemisphere_grid(*resolution)
-        lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
-
-        def polar(angles):
-            a, b = angles
-            sin_a = math.sin(a)
-            return sin_a * math.cos(b), sin_a * math.sin(b), math.cos(a)
+        n_theta, n_phi = resolution
+        lo_min, imin, hi_max, imax, n_planes = kernels.scan_grid(mp_f, gp_f, n_theta, n_phi)
+        grid_a, grid_b = kernels.polar_grid(n_theta, n_phi)
 
         def chart_point(i):
-            x, y, d = (q @ normals[i]).tolist()
-            return math.atan2(math.hypot(x, y), d), math.atan2(y, x)
+            return float(grid_a[i // n_phi]), float(grid_b[i % n_phi])
 
         def signed_value(angles, sign):
-            mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, *polar(angles))
+            a, b = angles
+            s = math.sin(a)
             # reject nearly tangent planes, R < 5e-3; the reduction's
             # rounding error grows like eps/R (3e-11 relative at
             # R = 1e-5, measured against exact arithmetic)
-            if not ok or r2 < 5e-3**2:
+            if s * s < 5e-3**2:
                 return np.inf
+            mu, nu, ga = kernels.reduce_planes(mp_f, gp_f, s, math.cos(a), math.cos(b), math.sin(b))
             lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
             return lo_s if sign > 0.0 else -hi_s
 
         def chart_normal(angles):
-            return np.array(polar(angles)) @ q
-
-        def grid_normal(i):
-            # a copy: the grid is shared by every call at this resolution
-            return normals[i].copy()
+            a, b = angles
+            s = math.sin(a)
+            return np.array([s * math.cos(b), s * math.sin(b), math.cos(a)]) @ q
 
     else:
         mode = "pencil"
         e1, e2, ts = _pencil(p, b, max(resolution))
-        lo, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
-        hi = lo.copy()
+        thresholds, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
+        lo, hi = np.where(valid, thresholds, np.inf), np.where(valid, thresholds, -np.inf)
+        imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
+        lo_min, hi_max, n_planes = float(lo[imin]), float(hi[imax]), int(valid.sum())
         qe1_f, qe2_f, db_f = (q @ e1).tolist(), (q @ e2).tolist(), (q @ (b - p)).tolist()
 
         def chart_point(i):
@@ -439,29 +436,25 @@ def p_bounds(
 
         def signed_value(t, sign):
             x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t[0])
-            mu, nu, ga, r2, ok = kernels.reduce_planes(mp_f, gp_f, x, y, d)
+            s, c, cos_b, sin_b, ok = kernels.polar_factors(x, y, d)
             if not ok:
                 return np.inf
-            k, ok = kernels.chord_slope(x, y, d, r2, db_f)
-            return sign * kernels.pencil_threshold(mu, nu, ga, k) if ok else np.inf
+            k, ok = kernels.chord_slope(x, y, d, s * s, db_f)
+            if not ok:
+                return np.inf
+            mu, nu, ga = kernels.reduce_planes(mp_f, gp_f, s, c, cos_b, sin_b)
+            return sign * kernels.pencil_threshold(mu, nu, ga, k)
 
         def chart_normal(t):
             return np.array(kernels.pencil_normals(e1, e2, t[0]))
 
-        def grid_normal(i):
-            return chart_normal(chart_point(i))
-
-    invalid = ~valid
-    lo[invalid] = np.inf
-    hi[invalid] = -np.inf
-    imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
     extremes = []
-    for sign, i, value in ((1.0, imin, float(lo[imin])), (-1.0, imax, -float(hi[imax]))):
+    for sign, i, value in ((1.0, imin, lo_min), (-1.0, imax, -hi_max)):
         point, polished = chart_point(i), value
         if refine:
             point, polished = _newton_polish(lambda x: signed_value(x, sign), point, value)
-        normal = chart_normal(point) if polished < value else grid_normal(i)
-        extremes.append((sign * polished, normal))
+        # the polish returns the grid point itself unless it improved on it
+        extremes.append((sign * polished, chart_normal(point)))
     (p_min, arg_min), (p_max, arg_max) = extremes
     return ProbBounds(
         p_min=float(max(p_min, 0.0)),
@@ -469,7 +462,7 @@ def p_bounds(
         mode=mode,
         argmin_normal=arg_min,
         argmax_normal=arg_max,
-        n_planes=int(valid.sum()),
+        n_planes=n_planes,
     )
 
 

@@ -187,10 +187,16 @@ def sphere_inner_radius(r: float) -> float:
     return r * r
 
 
-def _check_spheroid(m, n):
+def spheroid_fits(m: float, n: float) -> bool:
+    """Whether the spheroid with semiaxes (n, n, m), tangent to the unit
+    sphere at +z, fits inside it: n^2 <= m, up to TOL_GEOM."""
     # n^2 may exceed m by TOL_GEOM: sqrt(m)^2 rounds above m for about one
     # m in five, and n = sqrt(m) is the marginal (obese) spheroid
-    if not (0.0 < m < 1.0) or n <= 0.0 or n * n > m + TOL_GEOM:
+    return n * n <= m + TOL_GEOM
+
+
+def _check_spheroid(m, n):
+    if not (0.0 < m < 1.0) or n <= 0.0 or not spheroid_fits(m, n):
         raise InvalidSemiaxes(f"need 0 < m < 1 and n^2 <= m, got m = {m}, n = {n}")
 
 

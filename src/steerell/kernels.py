@@ -5,7 +5,9 @@ code takes arrays of planes (the scans) and Python floats (the Newton polish
 that refines the bounds in `criteria.p_bounds`):
 
   contact_frame     rotation Q to the contact-point frame, M' and g' in it
-  reduce_planes     contact-frame normals -> (mu, nu, gamma, r2, valid)
+  polar_factors     contact-frame normals (x, y, d) -> (s, c, C, S, valid)
+  reduce_planes     polar factors -> (mu, nu, gamma); it is `reduce_terms`
+                    of the `row_terms` and the `column_terms`
   chord_coords      R (u_b, v_b): in-plane coordinates of b - p, scaled by R
   chord_slope       k = v_b / u_b, valid where b is on the u > 0 side of p
   plane_margin      signed steerability margin of an in-plane point
@@ -14,17 +16,12 @@ that refines the bounds in `criteria.p_bounds`):
   pencil_threshold  per-plane threshold at the chord slope k of b
 
 Kernels:
-  scan_bounds     per-plane probability bounds over a grid of plane normals,
-                  evaluated in cache-sized blocks of planes
+  scan_grid       extremes of the per-plane probability bounds over the
+                  contact-frame polar grid of the full-sphere scan, in
+                  blocks of rows (`polar_grid`, `grid_blocks`)
+  scan_bounds     per-plane probability bounds for given world-frame normals
   scan_pencil     per-plane steerability thresholds over the pencil through b
   triangle_sweep  brute-force search for a local-model triangle in a section
-
-The full-sphere scan runs in blocks because at tens of thousands of planes
-much of its cost was in memory, not arithmetic: whole-array temporaries of a
-few hundred KB each were mapped in and given back on every call (727-863
-minor page faults and a 4.45 MB traced peak per warm 180x360
-`criteria.p_bounds`, against 35-240 faults and 1.15 MB in blocks of 4,096;
-see `scan_bounds`).
 """
 from __future__ import annotations
 
@@ -40,19 +37,30 @@ DEFAULT_BACKEND = "numpy"
 # per-plane conic reduction in the contact frame
 #
 # Q has rows (e1, e2, p), with e1 x e2 = p, so a plane normal n reads
-# (x, y, d) = Q n. The plane through p has circle radius R with
-# R^2 = r2 = x^2 + y^2, and its in-plane frame u = (d n - p)/R, v = n x u is
-# u' = (d x, d y, -r2), v' = (-y, x, 0) in Q coordinates, scaled by R.
-# With M' = Q minv Q^T and g' = Q minv (p - centre), the section conic's
-# homology column (alpha, beta, gamma) satisfies
+# (x, y, d) = Q n = (s C, s S, c) in polar factors: s = sin a, c = cos a,
+# C = cos b and S = sin b, with a the angle of n from p. The plane through p
+# has circle radius R = |s|, and its in-plane frame u = (d n - p)/R,
+# v = n x u is u' = (d x, d y, -s^2), v' = (-y, x, 0) in Q coordinates,
+# scaled by R. With M' = Q minv Q^T and g' = Q minv (p - centre), the section
+# conic's homology column (alpha, beta, gamma) satisfies
 #
 #   mu = R alpha = (1 - u'M'u' / V) / 2,   nu = R beta = -u'M'v' / V,
-#   gamma = -u'.g' / V,                     V = v'M'v',
+#   gamma = -u'.g' / V,                     V = v'M'v' = s^2 W,
 #
-# every factor of R cancelling. The per-plane bounds, slopes and pencil
-# threshold depend on (mu, nu, gamma) only, so the scans and the refinement
-# take no square root of r2 and build no u, v; r2 itself carries no
-# 1 - d^2 cancellation near the tangent plane.
+# with W = m11 C^2 - 2 m01 C S + m00 S^2, positive as M' is. Every factor of
+# R cancels:
+#
+#   nu    = (s (m12 C - m02 S) - c (m01 (C^2 - S^2) + (m11 - m00) C S)) / W
+#   mu    = (1 + c^2) / 2 - ((m00 + m11) c^2 + m22 s^2) / (2 W)
+#           + c s (m02 C + m12 S) / W
+#   gamma = (g'2 - (c / s) (g'0 C + g'1 S)) / W
+#
+# Each term is a row term, a function of the polar angle a alone, times a
+# column term, a function of the azimuth b alone (`row_terms`,
+# `column_terms`). A grid of planes on (a, b) therefore reduces with one
+# outer product per term and no rotation of its normals (`scan_grid`). The
+# per-plane bounds, slopes and pencil threshold depend on (mu, nu, gamma)
+# only, and none of it carries a 1 - d^2 cancellation near the tangent plane.
 # ---------------------------------------------------------------------------
 
 _BETA_EPS = 1e-12
@@ -97,52 +105,79 @@ def cross3(a, b):
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def reduce_planes(mp, gp, x, y, d):
-    """(mu, nu, gamma, r2, valid) of the planes through p with contact-frame
-    normal (x, y, d); mu = R alpha, nu = R beta and r2 = R^2.
+def polar_factors(x, y, d):
+    """(s, c, C, S, valid): the contact-frame normals (x, y, d) as
+    (s C, s S, c), with s = hypot(x, y) the circle radius R of the plane.
+
+    Floats or arrays of one shape. A plane is valid iff s^2 > 1e-12: nearer
+    the tangent plane its in-plane frame is undefined. An invalid plane comes
+    back as (s, C, S) = (1, 1, 0), an ordinary plane on which `reduce_planes`
+    stays finite; callers mask it.
+    """
+    if isinstance(x, np.ndarray):
+        s = np.hypot(x, y)
+        valid = s * s > _R2_EPS
+        s[~valid] = 1.0
+        cos_b, sin_b = x / s, y / s
+        cos_b[~valid] = 1.0
+        sin_b[~valid] = 0.0
+        return s, d, cos_b, sin_b, valid
+    s = math.hypot(x, y)
+    if not s * s > _R2_EPS:
+        return 1.0, d, 1.0, 0.0, False
+    return s, d, x / s, y / s, True
+
+
+def row_terms(mp, s, c):
+    """The factors of `reduce_planes` that depend on the polar angle alone:
+    (s, c, c s, (m00 + m11) c^2 + m22 s^2, (1 + c^2) / 2, c / s). s != 0."""
+    (m00, _, _), (_, m11, _), (_, _, m22) = mp
+    c2 = c * c
+    return s, c, c * s, (m00 + m11) * c2 + m22 * (s * s), 0.5 + 0.5 * c2, c / s
+
+
+def column_terms(mp, gp, cos_b, sin_b):
+    """The factors of `reduce_planes` that depend on the azimuth alone, each
+    divided by W: (m12 C - m02 S, m01 (C^2 - S^2) + (m11 - m00) C S, 1/2,
+    m02 C + m12 S, g'2, g'0 C + g'1 S) / W."""
+    (m00, m01, m02), (_, m11, m12), _ = mp
+    cc, ss, cs = cos_b * cos_b, sin_b * sin_b, cos_b * sin_b
+    inv = 1.0 / (m11 * cc - 2.0 * m01 * cs + m00 * ss)
+    return (
+        (m12 * cos_b - m02 * sin_b) * inv,
+        (m01 * (cc - ss) + (m11 - m00) * cs) * inv,
+        0.5 * inv,
+        (m02 * cos_b + m12 * sin_b) * inv,
+        gp[2] * inv,
+        (gp[0] * cos_b + gp[1] * sin_b) * inv,
+    )
+
+
+def reduce_terms(rows, cols):
+    """(mu, nu, gamma) from `row_terms` and `column_terms`: three products
+    of a row term and a column term per factor, the row terms broadcast
+    against the column terms."""
+    s, c, cs, t, h, cot = rows
+    n_s, n_c, w2, m_cs, g_w, g_cot = cols
+    nu = s * n_s
+    nu -= c * n_c
+    mu = cs * m_cs
+    mu -= t * w2
+    mu += h
+    ga = g_w - cot * g_cot
+    return mu, nu, ga
+
+
+def reduce_planes(mp, gp, s, c, cos_b, sin_b):
+    """(mu, nu, gamma) of the planes through p with contact-frame normal
+    (s cos_b, s sin_b, c); mu = R alpha, nu = R beta with R = |s|, s != 0.
 
     `mp` and `gp` are M' and g' of `contact_frame`, as arrays or nested lists
-    of floats; g' may have transverse components. The normal components are
-    floats or arrays of one shape. Near-tangent planes are invalid and come
-    back as mu = nu = gamma = 0; callers mask them.
+    of floats; g' may have transverse components. The factors are floats or
+    arrays that broadcast. Callers with Cartesian normals take the factors
+    from `polar_factors`.
     """
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
-    xx, yy, xy = x * x, y * y, x * y
-    r2 = xx + yy
-    valid = r2 > _R2_EPS
-    vv = m11 * xx - 2.0 * m01 * xy + m00 * yy
-    inv = valid / _select(valid, vv, 1.0)  # 1/V, and 0 on invalid planes
-    # The scans pass tens of thousands of planes, and allocating fresh
-    # arrays of that size costs more than the arithmetic on them, so the
-    # temporaries are updated in place and dropped as soon as they are used.
-    # -V nu = u'M'v' = d (m01 (x^2 - y^2) + (m11 - m00) x y) - r2 (m12 x - m02 y)
-    xx -= yy
-    xx *= m01
-    xy *= m11 - m00
-    xy += xx
-    xy *= d
-    del xx, yy
-    nu = r2 * (m12 * x - m02 * y)
-    nu -= xy
-    nu *= inv
-    del xy
-    # u'M'u' = r2 t - d^2 V with t = tr d^2 - 2 d (m02 x + m12 y) + m22 r2 and
-    # tr = m00 + m11, since m00 x^2 + 2 m01 x y + m11 y^2 = tr r2 - V
-    d2 = d * d
-    t = (m00 + m11) * d2
-    t -= d * (2.0 * m02 * x + 2.0 * m12 * y)
-    t += m22 * r2
-    t *= r2
-    mu = (1.0 + d2) * vv
-    mu -= t
-    mu *= inv
-    mu *= 0.5
-    del t, d2, vv
-    # -V gamma = u'.g' = d (g'0 x + g'1 y) - r2 g'2
-    ga = r2 * gp[2]
-    ga -= d * (gp[0] * x + gp[1] * y)
-    ga *= inv
-    return mu, nu, ga, r2, valid
+    return reduce_terms(row_terms(mp, s, c), column_terms(mp, gp, cos_b, sin_b))
 
 
 def chord_coords(x, y, d, r2, db):
@@ -230,32 +265,88 @@ def pencil_normals(e1, e2, ts):
     return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
 
 
-# planes per block of `scan_bounds`; see its docstring for how it was chosen
+# planes per block of `scan_grid` and `scan_bounds`; see `scan_grid`
 SCAN_BLOCK = 4096
+
+
+def polar_grid(n_theta, n_phi):
+    """Polar angles (a, b) of the planes of the full-sphere scan, in the
+    contact frame: a_i = (i + 1/2) pi / n_theta for i < ceil(n_theta / 2) and
+    b_j = 2 pi j / n_phi.
+
+    Plane i n_phi + j has contact-frame normal (sin a_i cos b_j,
+    sin a_i sin b_j, cos a_i). n and -n give the same plane, so the rows
+    cover the hemisphere d > 0 of the (n_theta, n_phi) grid, plus the equator
+    row when n_theta is odd. No row holds the tangent plane a = 0.
+    """
+    a = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
+    b = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    return a, b
+
+
+def grid_blocks(mp, gp, n_theta, n_phi):
+    """Per-plane bounds over the `polar_grid` planes, in blocks of rows.
+
+    Yields (start, lo, hi): lo and hi are (rows, n_phi) arrays of the
+    per-plane (p_min, p_max) of the planes numbered start, start + 1, ... in
+    row-major order. Rows with sin(a)^2 <= 1e-12, nearer the tangent plane
+    than `polar_factors` admits, are skipped; only n_theta above 1.5 million
+    has one.
+    """
+    a, b = polar_grid(n_theta, n_phi)
+    s = np.sin(a)
+    # s grows with a, so the skipped rows come first
+    first = int(np.count_nonzero(s * s <= _R2_EPS))
+    rows = row_terms(mp, s[first:, None], np.cos(a[first:])[:, None])
+    cols = column_terms(mp, gp, np.cos(b), np.sin(b))
+    step = max(1, SCAN_BLOCK // n_phi)
+    for i in range(0, len(rows[0]), step):
+        block = [term[i : i + step] for term in rows]
+        yield (first + i) * n_phi, plane_bounds(*reduce_terms(block, cols))
+
+
+def scan_grid(mp, gp, n_theta, n_phi):
+    """(lo_min, i_min, hi_max, i_max, n_planes) over the planes of
+    `polar_grid(n_theta, n_phi)` through the contact point.
+
+    `mp` and `gp` are M' and g' of `contact_frame`, best as nested lists of
+    floats. lo_min and hi_max are the least per-plane p_min and the greatest
+    per-plane p_max, i_min and i_max the first planes attaining them, and
+    n_planes the number of planes scanned.
+
+    The column terms of the reduction are computed once per call, and each
+    block of rows costs about 9 array passes for (mu, nu, gamma) plus
+    `plane_bounds`; reducing rotated Cartesian normals took about 48. The
+    blocks hold floor(SCAN_BLOCK / n_phi) rows, 3,960 planes at n_phi = 360,
+    so every temporary stays below glibc's default 128 KB mmap threshold and
+    the allocator reuses it. Evaluated whole, the 32,400-plane scan built
+    about 3 MB of 259 KB temporaries per call, which glibc returned to the
+    OS after every call: 727-863 minor page faults and 1.3-1.9 ms of system
+    time per warm call, against about 3 faults for this kernel in a warm
+    (180, 360) `criteria.p_bounds` (2-vCPU box, 30 tangent states). No
+    per-plane array outlives its block.
+    """
+    lo_min, i_min, hi_max, i_max, n = math.inf, 0, -math.inf, 0, 0
+    for start, (lo, hi) in grid_blocks(mp, gp, n_theta, n_phi):
+        j = int(lo.argmin())
+        if lo.flat[j] < lo_min:
+            lo_min, i_min = float(lo.flat[j]), start + j
+        j = int(hi.argmax())
+        if hi.flat[j] > hi_max:
+            hi_max, i_max = float(hi.flat[j]), start + j
+        n += lo.size
+    return lo_min, i_min, hi_max, i_max, n
 
 
 def scan_bounds(minv, centre, p, normals):
     """Per-plane (p_min, p_max, valid) for the planes with the given unit normals.
 
     Planes pass through the contact point p of the ellipsoid (inverse shape
-    matrix `minv`, centre `centre`); near-tangent planes come back invalid.
-    Returns float64, float64 and bool arrays of length len(normals).
-
-    The normals are evaluated in blocks of SCAN_BLOCK planes, each written
-    into the three output arrays, so that every temporary stays small and
-    the allocator reuses it. Evaluated whole, the 32,400-plane scan of
-    `criteria.p_bounds` at (180, 360) built about 3 MB of 259 KB temporaries
-    per call, which glibc returned to the OS after every call: a warm
-    unrefined `p_bounds` took 727-863 minor page faults and 1.3-1.9 ms of
-    system time per call and peaked at 4.45 MB under tracemalloc. In blocks
-    of 4,096 it takes 35-240 faults, depending on what the process
-    allocated before, and 0.1-0.6 ms of system time, and peaks at 1.15 MB.
-    At 4,096 planes the largest temporary, the rotated (3, block) normals,
-    is 96 KB, below glibc's default 128 KB mmap threshold; at 8,192 it is
-    192 KB, and a warm loop took about 380 faults a call. At 2,048 the
-    per-block Python overhead made the call 15-25% slower. Each plane's
-    arithmetic is unchanged, so the results are bit-identical to a
-    single-block evaluation.
+    matrix `minv`, centre `centre`); near-tangent planes come back invalid,
+    with bounds 0. Returns float64, float64 and bool arrays of length
+    len(normals). The normals are rotated into the contact frame and reduced
+    in blocks of SCAN_BLOCK planes, so that every temporary stays small; the
+    results are bit-identical to a single-block evaluation.
     """
     q, mp, gp = contact_frame(minv, centre, p)
     mp, gp = mp.tolist(), gp.tolist()
@@ -264,10 +355,10 @@ def scan_bounds(minv, centre, p, normals):
     lo, hi, valid = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for start in range(0, n, SCAN_BLOCK):
         block = slice(start, start + SCAN_BLOCK)
-        x, y, d = q @ normals[block].T
-        mu, nu, ga, _, ok = reduce_planes(mp, gp, x, y, d)
-        lo_b, hi_b = plane_bounds(mu, nu, ga)
+        s, c, cos_b, sin_b, ok = polar_factors(*(q @ normals[block].T))
         # masked planes reduce to mu = nu = gamma = 0, whose bounds are finite
+        mu, nu, ga = (term * ok for term in reduce_planes(mp, gp, s, c, cos_b, sin_b))
+        lo_b, hi_b = plane_bounds(mu, nu, ga)
         np.multiply(lo_b, ok, out=lo[block])
         np.multiply(hi_b, ok, out=hi[block])
         valid[block] = ok
@@ -284,8 +375,9 @@ def scan_pencil(minv, centre, p, b, e1, e2, ts):
     """
     q, mp, gp = contact_frame(minv, centre, p)
     x, y, d = pencil_normals(q @ e1, q @ e2, np.asarray(ts, dtype=float))
-    mu, nu, ga, r2, valid = reduce_planes(mp.tolist(), gp.tolist(), x, y, d)
-    k, valid_b = chord_slope(x, y, d, r2, q @ (np.asarray(b, dtype=float) - p))
+    s, c, cos_b, sin_b, valid = polar_factors(x, y, d)
+    mu, nu, ga = (term * valid for term in reduce_planes(mp.tolist(), gp.tolist(), s, c, cos_b, sin_b))
+    k, valid_b = chord_slope(x, y, d, s * s, q @ (np.asarray(b, dtype=float) - p))
     valid = valid & valid_b
     return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
 

@@ -220,6 +220,19 @@ def test_family_sweep_sphere(capsys):
     assert row["indeterminate"] == "true"
 
 
+def test_family_sweep_keeps_the_marginal_spheroid(capsys):
+    # n = sqrt(0.201) squares to just above 0.201; the spheroid constructors
+    # accept it (n^2 <= m + TOL_GEOM), so the sweep must not drop its row
+    argv = ["family-sweep", "--family", "spheroid", "--planes", "12"]
+    argv += ["--param", "m=0.201:0.201:1", "--param", "n=0.4483302354291979:0.4483302354291979:1"]
+    code, out, _err = _run(capsys, argv)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    lo, hi = families.spheroid_p_bounds(0.201, 0.4483302354291979)
+    assert float(row["p_min"]) == pytest.approx(lo, abs=1e-6)
+    assert float(row["p_max"]) == pytest.approx(hi, abs=1e-6)
+
+
 def test_family_sweep_xstate(capsys):
     code, out, _err = _run(
         capsys,

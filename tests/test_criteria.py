@@ -92,6 +92,20 @@ def test_reduced_point_outside_section_rejected():
         steerable_in_plane(section, [1.9, 0.0])
 
 
+def _bad_contacts():
+    """(ellipsoid, p, message) for three points p that are not the contact
+    point, with the NotOnSurface message each must raise."""
+    ell = _sphere(0.4)
+    # p on both surfaces where they cross: the ellipsoid normal is not along p
+    crossing = ellipsoid_from_geometry([0.0, 0.0, 0.8], [0.5, 0.5, 0.5])
+    z = 1.39 / 1.6
+    return [
+        (ell, [0.0, 0.0, 0.9], "not on the unit sphere"),
+        (ell, [1.0, 0.0, 0.0], "not on the ellipsoid surface"),
+        (crossing, [np.sqrt(1.0 - z * z), 0.0, z], "normal at the point is not along it"),
+    ]
+
+
 def test_locus_rejects_bad_contact_and_reduced_points():
     # every scan through p takes only the contact point, and only a b inside
     scans = {
@@ -99,24 +113,27 @@ def test_locus_rejects_bad_contact_and_reduced_points():
         "full-sphere p_bounds": lambda ell, p, b: p_bounds(ell, p=p, resolution=(7, 14)),
         "pencil p_bounds": lambda ell, p, b: p_bounds(ell, p=p, b=b, resolution=(7, 14)),
     }
-    ell = _sphere(0.4)
-    # p on both surfaces where they cross: the ellipsoid normal is not along p
-    crossing = ellipsoid_from_geometry([0.0, 0.0, 0.8], [0.5, 0.5, 0.5])
-    z = 1.39 / 1.6
-    bad_contacts = [
-        (ell, [0.0, 0.0, 0.9], "not on the unit sphere"),
-        (ell, [1.0, 0.0, 0.0], "not on the ellipsoid surface"),
-        (crossing, [np.sqrt(1.0 - z * z), 0.0, z], "normal at the point is not along it"),
-    ]
     for scan in scans.values():
-        for surface, p, message in bad_contacts:
+        for surface, p, message in _bad_contacts():
             with pytest.raises(NotOnSurface, match=message):
                 scan(surface, p, [0.0, 0.0, 0.6])
+    ell = _sphere(0.4)
     for name in ("locus_of_h", "pencil p_bounds"):
         with pytest.raises(InvalidReducedState, match="outside the ellipsoid"):
             scans[name](ell, P_TOP, [0.0, 0.0, 0.1])
         with pytest.raises(InvalidReducedState, match="coincides with the contact point"):
             scans[name](ell, P_TOP, P_TOP)
+
+
+def test_pure_state_probability_requires_the_contact_point():
+    # with b at the centre of the sphere of radius 0.4 touching at +z, the
+    # chord formula gave 0.2554 at (1, 0, 0), off the ellipsoid, and 0.5714
+    # at (0, 0, 0.9), off the sphere, against 0.5 at the contact point
+    b = [0.0, 0.0, 0.6]
+    assert pure_state_probability(_sphere(0.4), P_TOP, b) == pytest.approx(0.5, abs=1e-12)
+    for surface, p, message in _bad_contacts():
+        with pytest.raises(NotOnSurface, match=message):
+            pure_state_probability(surface, p, b)
 
 
 def test_degenerate_section_rejected():
@@ -172,10 +189,11 @@ def test_shared_reduction_matches_eigen_path(seed):
         normal = np.cos(t) * e1 + np.sin(t) * e2
         section = plane_section(ell, p, normal)
         hom = homology(section.m, section.n, section.delta, section.R, check=False)
-        mu, nu, ga, r2, ok_plane = kernels.reduce_planes(mp, gp, *(q @ normal))
+        s, c, cos_b, sin_b, ok_plane = kernels.polar_factors(*(q @ normal))
         assert ok_plane
+        mu, nu, ga = kernels.reduce_planes(mp, gp, s, c, cos_b, sin_b)
         np.testing.assert_allclose(
-            [mu, nu, ga, np.sqrt(r2)],
+            [mu, nu, ga, s],
             [hom.R * hom.alpha, hom.R * hom.beta, hom.gamma, hom.R],
             rtol=0,
             atol=1e-9,
@@ -322,24 +340,25 @@ def test_locus_result_shapes():
 
 @pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14)])
 def test_hemisphere_scan_loses_no_plane(resolution):
-    # n and -n give the same plane, so the hemisphere p_bounds scans must
-    # reach the extremes of the scan over the whole sphere of grid normals
+    # n and -n give the same plane, so the p_bounds scan of the upper rows of
+    # the contact-frame polar grid must reach the extremes of the scan over
+    # the whole sphere of that grid's normals, taken to the world frame
     n_theta, n_phi = resolution
-    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    normals = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    rows = -(-n_theta // 2)
+    a = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    b = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    sin_a = np.sin(a)[:, None]
+    comp = np.broadcast_arrays(sin_a * np.cos(b), sin_a * np.sin(b), np.cos(a)[:, None])
+    contact_normals = np.stack(comp, axis=-1).reshape(-1, 3)
     for seed in range(5):
         _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
-        p = rep.point
-        lo, hi, valid = kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals)
+        p, minv = rep.point, ell.inverse_shape_matrix()
+        q = kernels.contact_frame(minv, ell.centre, p)[0]
+        lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, contact_normals @ q)
+        assert valid.all()
         out = p_bounds(ell, p=p, resolution=resolution, refine=False)
-        assert out.p_min == pytest.approx(max(lo[valid].min(), 0.0), rel=0, abs=1e-12)
-        assert out.p_max == pytest.approx(hi[valid].max(), rel=0, abs=1e-12)
-        assert out.n_planes == valid[: rows * n_phi].sum()
+        assert out.p_min == pytest.approx(max(lo.min(), 0.0), rel=0, abs=1e-12)
+        assert out.p_max == pytest.approx(hi.max(), rel=0, abs=1e-12)
+        assert out.n_planes == -(-n_theta // 2) * n_phi
 
 
 def test_full_sphere_bounds_peak_under_two_megabytes():
@@ -362,8 +381,7 @@ def test_full_sphere_bounds_peak_under_two_megabytes():
 
 @pytest.mark.parametrize("refine", [False, True])
 def test_bounds_hand_out_normals_the_caller_may_write(refine):
-    # the grid of normals is shared by every call at one resolution, so the
-    # arg-normals must be copies
+    # the caller owns the arg-normals: writing to them changes no later call
     _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(8))
     first = p_bounds(ell, p=rep.point, resolution=(7, 14), refine=refine)
     want = (first.p_min, first.p_max, first.argmin_normal.tolist(), first.argmax_normal.tolist())
@@ -388,9 +406,9 @@ def test_refinement_evaluates_few_planes(monkeypatch):
     count = [0]
     reduce_planes = kernels.reduce_planes
 
-    def counting(mp, gp, x, y, d):
-        count[0] += not isinstance(x, np.ndarray)
-        return reduce_planes(mp, gp, x, y, d)
+    def counting(mp, gp, s, c, cos_b, sin_b):
+        count[0] += not isinstance(s, np.ndarray)
+        return reduce_planes(mp, gp, s, c, cos_b, sin_b)
 
     monkeypatch.setattr(kernels, "reduce_planes", counting)
     for ell, rep in ells:
@@ -428,9 +446,11 @@ def _golden_descent_bounds(ell, p, resolution):
     of theta then phi over +-1 cell, each search started afresh from its
     bracket: the refinement the line searches of `p_bounds` replaced."""
     n_theta, n_phi = resolution
-    normals = criteria._hemisphere_grid(n_theta, n_phi)
     thetas = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
     phis = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    sin_t = np.sin(thetas)[:, None]
+    comp = np.broadcast_arrays(sin_t * np.cos(phis), sin_t * np.sin(phis), np.cos(thetas)[:, None])
+    normals = np.stack(comp, axis=-1).reshape(-1, 3)
     minv = ell.inverse_shape_matrix()
     lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, normals)
     q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
@@ -439,9 +459,10 @@ def _golden_descent_bounds(ell, p, resolution):
     def value(theta, phi, sign):
         n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
         x, y, d = (sum(qi * ni for qi, ni in zip(row, n)) for row in q)
-        mu, nu, ga, r2, ok = kernels.reduce_planes(mp, gp, x, y, d)
-        if not ok or r2 < 5e-3**2:
+        s, c, cos_b, sin_b, ok = kernels.polar_factors(x, y, d)
+        if not ok or s * s < 5e-3**2:
             return math.inf
+        mu, nu, ga = kernels.reduce_planes(mp, gp, s, c, cos_b, sin_b)
         lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
         return lo_s if sign > 0 else -hi_s
 
@@ -528,10 +549,9 @@ def _reference_bounds(ell, p, n_a=360, n_b=1440, starts=10):
     a = (np.arange(n_a) + 0.5) * (0.5 * np.pi / n_a)
     b = np.arange(n_b) * (2.0 * np.pi / n_b)
     sin_a = np.sin(a)[:, None]
-    cos_a = np.broadcast_to(np.cos(a)[:, None], (n_a, n_b))
-    mu, nu, ga, r2, ok = kernels.reduce_planes(mp, gp, sin_a * np.cos(b), sin_a * np.sin(b), cos_a)
+    mu, nu, ga = kernels.reduce_planes(mp, gp, sin_a, np.cos(a)[:, None], np.cos(b), np.sin(b))
     lo, hi = kernels.plane_bounds(mu, nu, ga)
-    keep = ok & (r2 >= 5e-3**2)
+    keep = sin_a * sin_a >= 5e-3**2
     mp, gp = mp.tolist(), gp.tolist()
     out = []
     for sign, grid in ((1.0, lo), (-1.0, -hi)):
@@ -549,11 +569,11 @@ def _reference_bounds(ell, p, n_a=360, n_b=1440, starts=10):
 
         def value(angles, sign=sign):
             s = math.sin(angles[0])
-            mu, nu, ga, r2, ok = kernels.reduce_planes(
-                mp, gp, s * math.cos(angles[1]), s * math.sin(angles[1]), math.cos(angles[0])
-            )
-            if not ok or r2 < 5e-3**2:
+            if s * s < 5e-3**2:
                 return math.inf
+            mu, nu, ga = kernels.reduce_planes(
+                mp, gp, s, math.cos(angles[0]), math.cos(angles[1]), math.sin(angles[1])
+            )
             lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
             return lo_s if sign > 0.0 else -hi_s
 
@@ -588,6 +608,20 @@ def test_refined_bounds_follow_a_flat_curved_valley():
         _state, ell, rep = sampling.random_tangent_state(rng)
     ref_min, ref_max = _reference_bounds(ell, rep.point)
     out = p_bounds(ell, p=rep.point)
+    assert out.p_min <= ref_min + 1e-12
+    assert out.p_max >= ref_max - 1e-12
+
+
+def test_refined_bounds_cross_a_long_flat_valley():
+    # the (90, 180) grid puts this draw's p_max near the pole of the
+    # contact-frame chart, at one end of a valley flat to 4e-9 over a radian
+    # and narrow in the azimuth: a polish capped at 50 steps stopped 1.2e-9
+    # short of the far end
+    rng = np.random.default_rng(2)
+    for _ in range(137):
+        ell, p = sampling.random_tangent_ellipsoid(rng)
+    ref_min, ref_max = _reference_bounds(ell, p)
+    out = p_bounds(ell, p=p, resolution=(90, 180))
     assert out.p_min <= ref_min + 1e-12
     assert out.p_max >= ref_max - 1e-12
 

@@ -165,8 +165,9 @@ def test_reduction_is_accurate_near_the_tangent_plane(seed):
             w -= (w @ p) * p
             w /= np.linalg.norm(w)
             normal = np.sqrt(1.0 - radius * radius) * p + radius * w
-            mu, nu, ga, r2, valid = kernels.reduce_planes(mp, gp, *(q @ normal))
+            s, c, cos_b, sin_b, valid = kernels.polar_factors(*(q @ normal))
             assert valid
+            mu, nu, ga = kernels.reduce_planes(mp, gp, s, c, cos_b, sin_b)
             want = _world_frame_reduction(minv, ell.centre, p, normal)
             err = np.abs(np.array([mu, nu, ga]) - want) / np.maximum(np.abs(want), 1.0)
             assert err.max() <= 1e-9, (radius, err)
@@ -236,20 +237,62 @@ def test_scan_bounds_blocks_match_one_block_bit_for_bit(monkeypatch, blocks, ext
         assert not got[2][block - 2 : block + 2].any()
 
 
+def _grid_normals(q, a, b):
+    """World-frame normals of the contact-frame polar grid with polar angles a
+    (rows) and azimuths b (columns), in row-major order; q is the contact
+    frame's rotation."""
+    sin_a = np.sin(a)[:, None]
+    x, y, d = np.broadcast_arrays(sin_a * np.cos(b), sin_a * np.sin(b), np.cos(a)[:, None])
+    return np.stack([x, y, d], axis=-1).reshape(-1, 3) @ q
+
+
 @pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14)])
 def test_scan_bounds_blocks_match_one_block_on_full_grids(monkeypatch, resolution):
-    from steerell.criteria import _hemisphere_grid
-
-    normals = _hemisphere_grid(*resolution)
     # the shipped block, many short blocks (so that even the (7, 14) grid
     # crosses edges) and, last, one block: the reference
-    blocks = (kernels.SCAN_BLOCK, 13, len(normals))
     for seed in range(3):
         ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(seed))
+        q = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, p)[0]
+        normals = _grid_normals(q, *kernels.polar_grid(*resolution))
         results = []
-        for block in blocks:
+        for block in (kernels.SCAN_BLOCK, 13, len(normals)):
             monkeypatch.setattr(kernels, "SCAN_BLOCK", block)
             results.append(kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals))
         for got in results[:-1]:
             for g, w in zip(got, results[-1]):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("block", ["shipped", "one row"])
+@pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14), (9, 18)])
+def test_grid_scan_matches_scan_bounds_plane_by_plane(monkeypatch, resolution, block):
+    # the factored reduction of the polar grid against the explicit-normal
+    # evaluator on the same planes, rotated to the world frame and back; a
+    # SCAN_BLOCK below n_phi gives one row a block
+    if block == "one row":
+        monkeypatch.setattr(kernels, "SCAN_BLOCK", 13)
+    n_theta, n_phi = resolution
+    a, b = kernels.polar_grid(n_theta, n_phi)
+    assert len(a) == -(-n_theta // 2) and len(b) == n_phi
+    assert a[-1] < np.pi / 2 or (n_theta % 2 and a[-1] == pytest.approx(np.pi / 2))
+    for seed in range(3):
+        ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(seed))
+        minv = ell.inverse_shape_matrix()
+        q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+        mp, gp = mp.tolist(), gp.tolist()
+        lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, _grid_normals(q, a, b))
+        assert valid.all()
+        grid_lo, grid_hi = [], []
+        for start, (lo_b, hi_b) in kernels.grid_blocks(mp, gp, n_theta, n_phi):
+            assert start == sum(map(len, grid_lo)) and lo_b.shape == hi_b.shape
+            assert lo_b.shape[1] == n_phi and lo_b.shape[0] <= max(1, kernels.SCAN_BLOCK // n_phi)
+            grid_lo.append(lo_b.ravel())
+            grid_hi.append(hi_b.ravel())
+        grid_lo, grid_hi = np.concatenate(grid_lo), np.concatenate(grid_hi)
+        # the two paths differ by rounding alone: 1.8e-14 at most over 20 draws
+        np.testing.assert_allclose(grid_lo, lo, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grid_hi, hi, rtol=0, atol=1e-12)
+        # the kernel keeps the first extreme of its own per-plane values
+        got = kernels.scan_grid(mp, gp, n_theta, n_phi)
+        want = (grid_lo.min(), int(grid_lo.argmin()), grid_hi.max(), int(grid_hi.argmax()), len(a) * n_phi)
+        assert got == want
