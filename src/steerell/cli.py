@@ -92,9 +92,8 @@ class _CliError(Exception):
 def _tangency_dict(report):
     return {
         "status": report.status,
-        "kernel_dim": report.kernel_dim,
-        "cluster_size": report.cluster_size,
-        "roots": None if report.roots is None else list(report.roots),
+        "excess": report.excess,
+        "secular_gap": report.secular_gap,
         "point": report.point,
         "axis": report.axis,
         "p_probability": report.p_probability,

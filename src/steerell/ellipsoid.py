@@ -10,13 +10,14 @@ and orientation matrix
 
     Q = (T - a b^t)^t (I + a a^t / (1 - |a|^2)) (T - a b^t) / (1 - |a|^2),
 
-whose eigenvalues are the squared semiaxes. Tangency with the Bloch sphere is
-classified through the characteristic roots of det(kappa S - E) = 0, where S
-and E are the homogeneous quadrics of the sphere and the ellipsoid normalized
-so interior points give negative values.
+whose eigenvalues are the squared semiaxes. Contact with the Bloch sphere is
+decided by the ellipsoid's farthest point from the origin, found from the
+secular equation of the trust-region subproblem in the axis frame: an
+ellipsoid in the ball touches the sphere where that point has |x| = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateEllipsoid, NotOnSurface, TangentPlane, EmptySection
 from .paulicore import TwoQubitState
-from .tolerances import TOL_GEOM, TOL_ROOT
+from .tolerances import TOL_GEOM, TOL_SECULAR_GAP, TOL_TAU
 
 # status constants for TangencyReport
 SINGLE_TANGENT = "SingleTangent"
@@ -32,7 +33,10 @@ NO_CONTACT = "NoContact"
 MULTI_TANGENT = "MultiTangent"
 DEGENERATE = "Degenerate"
 
-_S4 = np.diag([1.0, 1.0, 1.0, -1.0])
+# Newton steps `_secular_gap` takes before it returns its last iterate
+_SECULAR_STEPS = 60
+# machine epsilon of a double
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -55,17 +59,6 @@ class SteeringEllipsoid:
             raise DegenerateEllipsoid("ellipsoid has zero volume")
         return self.axes @ np.diag(1.0 / self.semiaxes**2) @ self.axes.T
 
-    def quadric(self) -> np.ndarray:
-        """Homogeneous 4x4 quadric, negative inside the ellipsoid."""
-        m = self.inverse_shape_matrix()
-        c = self.centre
-        e = np.empty((4, 4))
-        e[:3, :3] = m
-        e[:3, 3] = -m @ c
-        e[3, :3] = -m @ c
-        e[3, 3] = c @ m @ c - 1.0
-        return e
-
     def surface_value(self, x) -> float:
         """(x - c)^t W^-1 (x - c) - 1; zero on the surface, negative inside."""
         d = np.asarray(x, dtype=float) - self.centre
@@ -84,9 +77,8 @@ class TangencyReport:
     """
 
     status: str
-    roots: np.ndarray  # (4,) real parts, ascending
-    cluster_size: int
-    kernel_dim: int
+    excess: float  # |x|max - 1 over the ellipsoid; negative inside the ball
+    secular_gap: float  # lambda - a_max^2 of the farthest-point secular equation
     point: np.ndarray | None = None
     axis: np.ndarray | None = None
     outcome: int | None = None
@@ -139,166 +131,163 @@ def ellipsoid_from_geometry(centre, semiaxes, axes=None) -> SteeringEllipsoid:
     )
 
 
-def _kernel_basis(mat, rel_tol=1e-6):
-    """Orthonormal basis of the numerical kernel and its dimension.
+def _secular_gap(d, s):
+    """Least t >= 0 with sum_i s_i / (t + d_i)^2 <= 1, on Python floats.
 
-    The threshold is relative to the geometric mean of the two largest
-    singular values, as the root tolerance of `tangency` is: for a nearly
-    flat ellipsoid (smallest semiaxis c) the largest alone grows like 1/c^2,
-    and a threshold proportional to it counted real directions as kernel.
+    With s_i = a_i^2 c'_i^2 and d_i = a_max^2 - a_i^2 this is the root
+    t = lambda - a_max^2 of the secular equation |q(lambda)| = 1, where
+    q_i = a_i c'_i / (lambda - a_i^2); 0 when |q| <= 1 already at the pole
+    (the hard case). Newton on 1/|q| - 1, which is concave and increasing in
+    t, climbs monotonically from the lower bracket; the bracket [lo, hi]
+    still catches any step that leaves it and bisects instead.
     """
-    _, sv, vt = np.linalg.svd(mat)
-    thresh = max(rel_tol * float(np.sqrt(sv[0] * sv[1])), 1e-13)
-    dim = int(np.sum(sv <= thresh))
-    if dim == 0:
-        return 0, np.empty((4, 0))
-    return dim, vt[4 - dim :].T
+    # |q_i| <= 1 at the root gives t >= sqrt(s_i) - d_i, and |q| <=
+    # sqrt(sum s) / t gives t <= sqrt(sum s)
+    lo = max(0.0, max(math.sqrt(si) - di for di, si in zip(d, s)))
+    hi = math.sqrt(sum(s))
+    t = lo
+    for _ in range(_SECULAR_STEPS):
+        n2 = dn = 0.0
+        for di, si in zip(d, s):
+            if si > 0.0:
+                u = 1.0 / (t + di)
+                w = si * u * u
+                n2 += w
+                dn += w * u
+        if n2 <= 1.0:
+            if t == 0.0:
+                return 0.0
+            hi = t
+        else:
+            lo = t
+        # Newton step for 1/sqrt(n2) - 1 = 0, d(1/sqrt(n2))/dt = dn / n2^1.5
+        step = n2 * (math.sqrt(n2) - 1.0) / dn
+        nxt = t + step
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 4.0 * _EPS * t:
+            return nxt
+        t = nxt
+    return t
 
 
-def _dehomogenize(v):
-    if abs(v[3]) < 1e-9 * np.linalg.norm(v):
+def _solve3(m, r):
+    """x with m x = r for a 3x3 system of floats (nested lists), by the
+    adjugate; None when m is exactly singular."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    r0, r1, r2 = r
+    ca, cb, cc = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * ca + b * cb + c * cc
+    if det == 0.0:
         return None
-    return v[:3] / v[3]
+    return [
+        (ca * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2) / det,
+        (cb * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2) / det,
+        (cc * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2) / det,
+    ]
 
 
-def _newton_polish(x0, m, centre):
-    """At most five Newton steps on the tangency Lagrangian:
-    x = lam M (x - c), (x-c)^t M (x-c) = 1."""
-    x = np.array(x0, dtype=float)
-    g = m @ (x - centre)
-    lam = (x @ g) / max(g @ g, 1e-300)
-    for _ in range(5):
-        g = m @ (x - centre)
-        f = np.empty(4)
-        f[:3] = x - lam * g
-        f[3] = 0.5 * ((x - centre) @ g - 1.0)
-        if np.linalg.norm(f) < 1e-14:
-            break
-        jac = np.empty((4, 4))
-        jac[:3, :3] = np.eye(3) - lam * m
-        jac[:3, 3] = -g
-        jac[3, :3] = g
-        jac[3, 3] = 0.0
-        try:
-            if np.linalg.cond(jac) > 1e12:
-                break
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        x = x + step[:3]
-        lam = lam + step[3]
-    return x
+def _steering_axis(state: TwoQubitState, p):
+    """(unit axis, outcome probability) of Alice's measurement whose outcome
+    +1 steers Bob to the point p (a list of floats), or (None, None).
+
+    The axis w solves b + T^t w = p (1 + a.w), that is (T^t - p a^t) w = p - b,
+    and only a unit solution is a measurement.
+    """
+    a, b, t = state.a.tolist(), state.b.tolist(), state.T.tolist()
+    m = [[t[j][i] - p[i] * a[j] for j in range(3)] for i in range(3)]
+    w = _solve3(m, [pi - bi for pi, bi in zip(p, b)])
+    if w is None:
+        return None, None
+    nw = math.sqrt(sum(wi * wi for wi in w))
+    if abs(nw - 1.0) >= 1e-6:
+        return None, None
+    return np.array(w) / nw, 0.5 * (1.0 + sum(wi * ai for wi, ai in zip(w, a)))
 
 
 def tangency(ell: SteeringEllipsoid) -> TangencyReport:
     """Classify the contact between the ellipsoid and the unit sphere.
 
-    The roots of det(kappa S - E) = 0 are computed as eigenvalues of S^-1 E.
-    A doubled smallest root signals contact; the kernel of kappa* S - E then
-    determines the contact set. The restricted sphere form on that kernel
-    separates one contact point (SingleTangent), two points or a contact
-    circle (MultiTangent), and the full-sphere case (Degenerate). Osculating
-    contact (all four roots equal, as for maximally obese states) is still a
-    single point and classified SingleTangent.
+    An ellipsoid inside the ball touches the sphere exactly where its
+    farthest point from the origin has |x| = 1. In the axis frame (semiaxes
+    a_i, centre c' = V^t c) that point is x' = c' + y with
+    y_i = a_i^2 c'_i / (lambda - a_i^2), where lambda > a_max^2 solves the
+    secular equation sum_i a_i^2 c'_i^2 / (lambda - a_i^2)^2 = 1.
+
+    - Generic case, secular gap lambda - a_max^2 above TOL_SECULAR_GAP
+      a_max^2: the farthest point is unique, and |x|max - 1 within TOL_GEOM
+      of 0 is SingleTangent.
+    - Hard case, lambda = a_max^2 (c' has no component along the largest
+      axis): the farthest points are c' + w0 +- tau v, with w0 the solution
+      off the largest axes v and tau^2 = a_max^2 (1 - sum_i w0_i^2 / a_i^2)
+      over the other axes. tau^2 below TOL_TAU a_max^2 is osculating contact,
+      one point c' + w0 (SingleTangent; every maximally obese state).
+      Otherwise a single largest axis gives two points (MultiTangent), and a
+      double or triple one a contact circle or the full sphere (Degenerate).
+      tau^2 below -TOL_TAU a_max^2 means the other axes alone hold lambda
+      off the pole: the generic case again.
+    - |x|max below 1 - TOL_GEOM is NoContact. An ellipsoid that leaves the
+      ball (|x|max above 1 + TOL_GEOM) meets the sphere along a curve and is
+      Degenerate; only `ellipsoid_from_geometry` builds one, because every
+      steering ellipsoid lies in the ball.
+
+    `excess` is |x|max - 1 and `secular_gap` is lambda - a_max^2.
     """
     if ell.zero_volume:
         raise DegenerateEllipsoid("tangency undefined for zero-volume ellipsoid")
-    e = ell.quadric()
-    roots = np.linalg.eigvals(_S4 @ e)
-    kr = np.sort(roots.real)
-    # Rounding splits a double root kappa by about sqrt(eps |kr|_max kappa).
-    # For a nearly flat ellipsoid (smallest semiaxis c) the largest root alone
-    # grows like 1/c^2, and a tolerance proportional to it called every root
-    # zero or clustered. The geometric mean of the two largest magnitudes is
-    # close to the largest for a round ellipsoid, grows only like 1/c for a
-    # flat one, and still bounds sqrt(|kr|_max kappa) for the lower roots.
-    mags = np.sort(np.abs(kr))
-    scale = float(np.sqrt(max(1.0, mags[2]) * max(1.0, mags[3])))
-    tau = TOL_ROOT * scale
-
-    def report(status, csize, kdim, point=None):
-        axis = outcome = p_prob = None
-        if status == SINGLE_TANGENT and point is not None and ell.state is not None:
-            st = ell.state
-            try:
-                w = np.linalg.solve(st.T.T - np.outer(point, st.a), point - st.b)
-                nw = np.linalg.norm(w)
-                if abs(nw - 1.0) < 1e-6:
-                    axis = w / nw
-                    outcome = 1
-                    p_prob = 0.5 * (1.0 + w @ st.a)
-            except np.linalg.LinAlgError:
-                pass
-        return TangencyReport(
-            status=status,
-            roots=kr,
-            cluster_size=csize,
-            kernel_dim=kdim,
-            point=point,
-            axis=axis,
-            outcome=outcome,
-            p_probability=p_prob,
-        )
-
-    if kr[0] <= tau:
-        return report(DEGENERATE, 0, 0)
-
-    # size of the bottom root cluster (gap-based)
-    csize = 1
-    while csize < 4 and kr[csize] - kr[csize - 1] <= tau:
-        csize += 1
-
-    if csize == 1:
-        # a smeared quadruple root (osculating contact) can split at the
-        # eps^(1/4) level; rescue it through the kernel dimension
-        if kr[3] - kr[0] <= 1e-3 * scale:
-            kbar = float(np.mean(kr))
-            dim, basis = _kernel_basis(kbar * _S4 - e, rel_tol=1e-4)
-            if dim >= 3:
-                csize = 4
-            else:
-                return report(NO_CONTACT, 1, dim)
-        else:
-            return report(NO_CONTACT, 1, 0)
-
-    kbar = float(np.mean(kr[:csize]))
-    dim, basis = _kernel_basis(kbar * _S4 - e)
-    if dim == 0:
-        return report(DEGENERATE, csize, 0)
-    if dim == 4:
-        return report(DEGENERATE, csize, 4)
-
-    # contact points satisfy x^t S x = 0 restricted to the kernel
-    sigma = basis.T @ _S4 @ basis
-    if dim == 1:
-        point = _dehomogenize(basis[:, 0])
-        if point is None:
-            return report(DEGENERATE, csize, 1)
-    elif dim == 2:
-        det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
-        if det < -1e-12:
-            return report(MULTI_TANGENT, csize, 2)
-        return report(DEGENERATE, csize, 2)
+    a2 = [a * a for a in ell.semiaxes.tolist()]
+    c = (ell.centre @ ell.axes).tolist()
+    amax2 = a2[0]
+    d = [amax2 - x for x in a2]
+    gap = _secular_gap(d, [x * ci * ci for x, ci in zip(a2, c)])
+    lam = amax2 + gap
+    # |x|max^2 as the trust-region dual value lam (1 + sum_i c'_i^2 / (lam -
+    # a_i^2)): a sum of positive terms, stationary in lam at the root
+    excess = math.sqrt(lam * (1.0 + sum(ci * ci / (gap + di) for ci, di in zip(c, d) if ci))) - 1.0
+    hard = gap <= TOL_SECULAR_GAP * amax2
+    if hard:
+        # axes whose pole lies within the gap tolerance count as largest; the
+        # centre has no component along them to that tolerance
+        largest = [di <= TOL_SECULAR_GAP * amax2 for di in d]
+        tau2 = amax2 * (1.0 - sum(x * ci * ci / (di * di) for x, ci, di, big in zip(a2, c, d, largest) if not big))
+        # tau^2 < 0: the other axes alone hold the root off the pole, and the
+        # farthest point is the generic one
+        hard = tau2 >= -TOL_TAU * amax2
+    if hard:
+        xp = [ci if big else amax2 * ci / di for ci, di, big in zip(c, d, largest)]
     else:
-        lam, vec = np.linalg.eigh(sigma)
-        small = np.abs(lam) <= 1e-6 * max(1.0, np.abs(lam).max())
-        nonzero = lam[~small]
-        if small.sum() == 1 and (np.all(nonzero > 0) or np.all(nonzero < 0)):
-            point = _dehomogenize(basis @ vec[:, np.argmax(small)])
-            if point is None:
-                return report(DEGENERATE, csize, dim)
-        else:
-            # indefinite restricted form: a whole contact conic, not a point
-            return report(DEGENERATE, csize, dim)
+        # c'_i + y_i, written without the cancellation
+        xp = [lam * ci / (gap + di) for ci, di in zip(c, d)]
 
-    m = ell.inverse_shape_matrix()
-    point = _newton_polish(point, m, ell.centre)
-    nrm = np.linalg.norm(point)
-    d = point - ell.centre
-    if abs(nrm - 1.0) > 1e-6 or abs(d @ m @ d - 1.0) > 1e-6:
-        return report(DEGENERATE, csize, dim)
-    point = point / nrm
-    return report(SINGLE_TANGENT, csize, dim, point=point)
+    point = None
+    if excess < -TOL_GEOM:
+        status = NO_CONTACT
+    elif excess > TOL_GEOM:
+        status = DEGENERATE
+    elif not hard or tau2 <= TOL_TAU * amax2:
+        status = SINGLE_TANGENT
+        x = [sum(vi * xi for vi, xi in zip(row, xp)) for row in ell.axes.tolist()]
+        nx = math.sqrt(sum(xi * xi for xi in x))
+        point = [xi / nx for xi in x]
+    elif sum(largest) == 1:
+        status = MULTI_TANGENT
+    else:
+        status = DEGENERATE
+
+    axis = outcome = p_prob = None
+    if point is not None and ell.state is not None:
+        axis, p_prob = _steering_axis(ell.state, point)
+        if axis is not None:
+            outcome = 1
+    return TangencyReport(
+        status=status,
+        excess=excess,
+        secular_gap=gap,
+        point=None if point is None else np.array(point),
+        axis=axis,
+        outcome=outcome,
+        p_probability=p_prob,
+    )
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,10 @@ def test_tangency_command_accepts_any_contact(capsys, bell_file):
     payload = json.loads(out)
     assert payload["tangency"]["status"] == "Degenerate"
     assert payload["ellipsoid"]["semiaxes"] == pytest.approx([1.0, 1.0, 1.0])
+    # the contact diagnostics: |x|max - 1 and the secular gap lambda - a_max^2
+    assert set(payload["tangency"]) == {"status", "excess", "secular_gap", "point", "axis", "p_probability"}
+    assert payload["tangency"]["excess"] == pytest.approx(0.0, abs=1e-12)
+    assert payload["tangency"]["secular_gap"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_section_command(capsys, obese_file):

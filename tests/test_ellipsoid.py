@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steerell import families, sampling
+from steerell import ellipsoid, families, sampling
 from steerell.ellipsoid import (
     DEGENERATE,
     MULTI_TANGENT,
@@ -22,7 +22,8 @@ from steerell.errors import (
     NotOnSurface,
     TangentPlane,
 )
-from steerell.paulicore import state_from_pauli, steered_ensemble
+from steerell.paulicore import state_from_density, state_from_pauli, steered_ensemble
+from steerell.tolerances import TOL_SECULAR_GAP
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -106,9 +107,10 @@ def test_no_contact_for_interior_ellipsoid():
 
 
 # Full-rank states whose ellipsoids are nearly flat and lie inside the sphere:
-# semiaxes (0.580, 0.274, 3.89e-5), roots [1.21, 2.48, 13.3, 6.58e8], and
-# semiaxes (0.634, 0.148, 6.01e-5), roots [1.25, 2.12, 44.8, 2.63e8]. A root
-# tolerance proportional to the largest root called the first root zero.
+# semiaxes (0.580, 0.274, 3.89e-5), |x|max - 1 = -0.103, and semiaxes
+# (0.634, 0.148, 6.01e-5), |x|max - 1 = -0.070. A contact test on the roots
+# of det(kappa S - E), with a tolerance proportional to the largest root
+# (about 1/c^2), once called them Degenerate.
 FLAT_INTERIOR_STATES = [
     (
         [0.0846053604431056, -0.1182410261844152, 0.16243448363918883],
@@ -136,7 +138,7 @@ def test_no_contact_for_nearly_flat_interior_ellipsoid(a, b, T):
     ell = steering_ellipsoid(state_from_pauli(a, b, T))
     assert ell.semiaxes[2] < 1e-4 and not ell.zero_volume
     rep = tangency(ell)
-    assert rep.roots[3] > 1e8
+    assert rep.excess < 0.0
     assert rep.status == NO_CONTACT
 
 
@@ -164,6 +166,145 @@ def test_nearly_flat_tangent_ellipsoid_is_single_tangent():
         rep = tangency(ell)
         assert rep.status == SINGLE_TANGENT
         assert np.linalg.norm(rep.point - p) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-6])
+def test_very_flat_tangent_ellipsoid_is_single_tangent(c):
+    # the kernel of kappa* S - E, on which contact was once decided, called
+    # 19 of these 100 MultiTangent at c = 1e-5 and 91 at c = 1e-6
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        ell, p = _flat_tangent_ellipsoid(rng, c)
+        rep = tangency(ell)
+        assert rep.status == SINGLE_TANGENT
+        assert np.linalg.norm(rep.point - p) <= 1e-6
+
+
+def test_kernel_tangent_draws_are_single_tangent():
+    # every state annihilating a product vector touches the sphere; a double
+    # root of det(kappa S - E) that rounding split called 2 of these 1,472
+    # NoContact
+    rng = np.random.default_rng(123)
+    count = 0
+    for _ in range(1500):
+        state = state_from_density(sampling._kernel_tangent_density(rng))
+        ell = steering_ellipsoid(state)
+        if ell.semiaxes[2] < 0.05:
+            continue
+        count += 1
+        rep = tangency(ell)
+        assert rep.status == SINGLE_TANGENT
+        assert abs(np.linalg.norm(rep.point) - 1.0) < 1e-12
+        assert abs(ell.surface_value(rep.point)) < 1e-9
+    assert count == 1472
+
+
+def test_held_out_spheroid_touches_at_the_pole():
+    # n^2 = 0.172 < m: the spheroid touches the sphere at +z only
+    ell = steering_ellipsoid(families.tangent_spheroid_state(0.2144821677291983, 0.4145494333598302))
+    rep = tangency(ell)
+    assert rep.status == SINGLE_TANGENT
+    npt.assert_allclose(rep.point, [0, 0, 1], atol=1e-12)
+
+
+def _touching(centre, semiaxes):
+    """The ellipsoid with this centre and these semiaxes, scaled about the
+    origin until its farthest point lies on the sphere."""
+    centre, semiaxes = np.asarray(centre, dtype=float), np.asarray(semiaxes, dtype=float)
+    scale = 1.0 / (1.0 + tangency(ellipsoid_from_geometry(centre, semiaxes)).excess)
+    return ellipsoid_from_geometry(scale * centre, scale * semiaxes)
+
+
+@pytest.mark.parametrize(
+    "ell, status",
+    [
+        (families.obese_geometry(0.99)[0], SINGLE_TANGENT),
+        (ellipsoid_from_geometry([0, 0, 0], [1.0, 0.5, 0.4]), MULTI_TANGENT),
+        # q_z = a_z c_z / (a_max^2 - a_z^2) = 1/sqrt(2), so tau^2 = a_max^2 / 2
+        (_touching([0, 0, 0.21 / (0.2 * np.sqrt(2.0))], [0.5, 0.3, 0.2]), MULTI_TANGENT),
+        (ellipsoid_from_geometry([0, 0, 0], [1.0, 1.0, 0.4]), DEGENERATE),
+    ],
+    ids=["osculating", "two_points", "two_points_off_centre", "circle"],
+)
+def test_hard_case_statuses(ell, status):
+    # the centre has no component along the largest axis: the secular root
+    # sits at the pole a_max^2, and tau^2 and the largest axis's
+    # multiplicity decide the contact set
+    rep = tangency(ell)
+    assert rep.secular_gap <= TOL_SECULAR_GAP * ell.semiaxes[0] ** 2
+    assert abs(rep.excess) < 1e-12
+    assert rep.status == status
+
+
+def test_root_held_off_the_pole_by_another_axis_is_generic():
+    # the secular root lies within the hard-case window above a_max^2, but
+    # the second axis, 2e-7 below the largest, holds it there (tau^2 < 0):
+    # one farthest point, given by the generic formula. The ellipsoid is
+    # scaled to touch the sphere.
+    a1 = np.sqrt(1.0 - 2e-7)
+    ell = _touching([0.0, 1.2 * 2e-7 / a1, 0.01], [1.0, a1, 0.5])
+    rep = tangency(ell)
+    assert rep.secular_gap <= 0.5 * TOL_SECULAR_GAP * ell.semiaxes[0] ** 2
+    assert rep.status == SINGLE_TANGENT
+    assert abs(ell.surface_value(rep.point)) < 1e-12
+    grad = ell.inverse_shape_matrix() @ (rep.point - ell.centre)
+    npt.assert_allclose(grad / np.linalg.norm(grad), rep.point, atol=1e-12)
+
+
+def _rotation(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.linalg.det(q))
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-3, 0.5, 0.99])
+def test_rotated_obese_state_is_single_tangent(c):
+    # local rotations leave the contact osculating, but the eigenvectors of
+    # the double largest semiaxis come out rotated, so the centre gets a
+    # rounding-size component along them
+    rng = np.random.default_rng(11)
+    state = families.obese_state(c)
+    for _ in range(20):
+        ra, rb = _rotation(rng), _rotation(rng)
+        rep = tangency(steering_ellipsoid(state_from_pauli(ra @ state.a, rb @ state.b, ra @ state.T @ rb.T)))
+        assert rep.status == SINGLE_TANGENT
+        npt.assert_allclose(rep.point, rb[:, 2], atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "centre, semiaxes", [([0, 0, 0.5], [0.7, 0.6, 0.6]), ([0, 0, 0.2], [0.9, 0.85, 0.8])]
+)
+def test_ellipsoid_leaving_the_ball_is_degenerate(centre, semiaxes):
+    # it meets the sphere along a curve, not at tangent points
+    rep = tangency(ellipsoid_from_geometry(centre, semiaxes))
+    assert rep.excess > 1e-4
+    assert rep.status == DEGENERATE
+    assert rep.point is None
+
+
+def test_excess_is_the_farthest_distance():
+    # |x|max from the secular equation against a dense sample of the surface
+    rng = np.random.default_rng(3)
+    dirs = sampling._fibonacci_sphere(20000)
+    for _ in range(30):
+        semi = rng.uniform(0.05, 0.8, 3)
+        ell = ellipsoid_from_geometry(rng.uniform(-0.3, 0.3, 3), semi, axes=_rotation(rng))
+        surface = ell.centre + (dirs * ell.semiaxes) @ ell.axes.T
+        sampled = np.linalg.norm(surface, axis=1).max() - 1.0
+        excess = tangency(ell).excess
+        assert sampled - 1e-12 <= excess <= sampled + 1e-3
+
+
+def test_float_solve_matches_numpy():
+    # `tangency` solves for the steering axis on floats; np.linalg.solve is
+    # the reference, to a rounding tolerance set by the condition number
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        m, r = rng.standard_normal((3, 3)), rng.standard_normal(3)
+        want = np.linalg.solve(m, r)
+        got = ellipsoid._solve3(m.tolist(), r.tolist())
+        tol = 1e-14 * np.linalg.cond(m) * np.linalg.norm(want)
+        assert np.linalg.norm(np.subtract(got, want)) <= tol
+    assert ellipsoid._solve3([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]], [1.0, 1.0, 1.0]) is None
 
 
 def test_two_pole_contact_is_multi():
