@@ -11,9 +11,11 @@ from .criteria import (
     ALL_INSIDE,
     ALL_OUTSIDE,
     CROSSING,
+    Analysis,
     PlaneBounds,
     PlaneVerdict,
     ProbBounds,
+    analyze,
     classify_locus,
     locus_of_h,
     p_bounds,

@@ -136,17 +136,20 @@ def _analyze(state, args, payload):
 
     p = report.point
     b = state.b
-    payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
-    locus = criteria.locus_of_h(ell, b, n_planes=args.planes, p=p)
-    margins = locus.margins
-    classification = criteria.classify_margins(margins)
+    try:
+        result = criteria.analyze(ell, b, p=p, n_planes=args.planes)
+    except InvalidReducedState:
+        # b at p: the pencil is undefined, but p_p is not and is reported
+        payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
+        raise
+    margins = result.locus.margins
     margin_max = float(margins.max())
     margin_min = float(margins.min())
-    bounds_ell = criteria.p_bounds(ell, p=p, resolution=(args.planes, 2 * args.planes))
-    bounds_pencil = criteria.p_bounds(ell, p=p, b=b, resolution=(args.planes, args.planes))
+    bounds_ell, bounds_pencil = result.bounds, result.bounds_pencil
     payload.update(
         {
-            "classification": classification,
+            "pure_state_probability": result.pure_state_probability,
+            "classification": criteria.classify_margins(margins),
             "margin_min": margin_min,
             "margin_max": margin_max,
             "steerable": bool(margin_max > 0.0),

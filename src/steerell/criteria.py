@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,18 @@ class ProbBounds:
     n_planes: int
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What `analyze` derives from one contact check and one pencil pass."""
+
+    pure_state_probability: float
+    locus: LocusResult
+    thresholds: np.ndarray  # (n,) threshold of each pencil plane at b's chord slope, 0 where invalid
+    valid: np.ndarray  # (n,) pencil planes where b's chord is valid
+    bounds: ProbBounds  # full sphere, on the (n, 2n) grid
+    bounds_pencil: ProbBounds  # over the n pencil planes
+
+
 def steerable_in_plane(section: PlaneSection, b_local) -> PlaneVerdict:
     """Decide steerability of the in-plane reduced point b_local.
 
@@ -129,8 +142,13 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
-    minv = _contact_minv(ell, p)
-    value = _surface_value(minv, ell.centre, b)
+    return _probability(_contact_minv(ell, p), ell.centre, p, b)
+
+
+def _probability(minv, centre, p, b):
+    """`pure_state_probability` on the inverse shape matrix of a checked
+    contact point."""
+    value = _surface_value(minv, centre, b)
     if value > TOL_GEOM:
         raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {value:.3e})")
     d = b - p
@@ -139,8 +157,8 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
         return 1.0
     direction = d / length
     qa = direction @ minv @ direction
-    qb = direction @ minv @ (p - ell.centre)
-    q0 = _surface_value(minv, ell.centre, p)
+    qb = direction @ minv @ (p - centre)
+    q0 = _surface_value(minv, centre, p)
     disc = max(qb * qb - qa * q0, 0.0)
     t_far = (-qb + np.sqrt(disc)) / qa
     if t_far < length - TOL_GEOM:
@@ -188,7 +206,8 @@ def _contact_minv(ell: SteeringEllipsoid, p):
 
 def _contact(ell: SteeringEllipsoid, p, b):
     """(minv, Q, M', g') at the contact point p, the inverse shape matrix and
-    the contact frame of `kernels.contact_frame`.
+    the contact frame of `kernels.contact_frame`, M' and g' as Python floats
+    for the scans and the refinement.
 
     Raises NotOnSurface unless p is the contact point (`_contact_minv`), and
     InvalidReducedState when b is given and outside the ellipsoid.
@@ -198,14 +217,53 @@ def _contact(ell: SteeringEllipsoid, p, b):
         value = _surface_value(minv, ell.centre, b)
         if value > TOL_GEOM:
             raise InvalidReducedState(f"b is outside the ellipsoid (value {value:.3e})")
-    return (minv, *kernels.contact_frame(minv, ell.centre, p))
+    q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+    return minv, q, mp.tolist(), gp.tolist()
+
+
+class _Pencil(NamedTuple):
+    """The pencil planes through p and b, reduced once in the contact frame."""
+
+    e1: np.ndarray
+    e2: np.ndarray
+    ts: np.ndarray
+    frame: tuple  # Q e1, Q e2 and Q (b - p), as lists of floats
+    planes: tuple  # `kernels.pencil_planes`
+
+
+def _pencil_pass(q, mp, gp, p, b, n_planes):
+    """The n_planes planes of `_pencil`, reduced by `kernels.pencil_planes`
+    in the contact frame (Q, M', g') of `_contact`."""
+    e1, e2, ts = _pencil(p, b, n_planes)
+    qe1, qe2, db = q @ e1, q @ e2, q @ (b - p)
+    planes = kernels.pencil_planes(qe1, qe2, mp, gp, ts, db)
+    return _Pencil(e1, e2, ts, (qe1.tolist(), qe2.tolist(), db.tolist()), planes)
+
+
+def _locus(pencil, p, q):
+    """The `LocusResult` of a `_pencil_pass`; see `locus_of_h`."""
+    x, y, d, radius, mu, nu, ga, wu, wv, valid = pencil.planes
+    if not valid.all():
+        # such a plane has normal +-p, which puts b on the tangent plane at p
+        raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
+    r2 = radius * radius
+    margins = kernels.plane_margin(mu, nu, ga, radius, wu / radius, wv / radius)
+    # den = r2 (alpha u_b + beta v_b + gamma); h = p + (w_u u' + w_v v') / den
+    # with u' = (d x, d y, -r2) and v' = (-y, x, 0) the R-scaled in-plane axes
+    den = mu * wu + nu * wv + ga * r2
+    scale = 1.0 / np.where(np.abs(den) < 1e-12 * r2, np.nan, den)
+    hu, hv = wu * scale, wv * scale
+    points = p + np.stack([(hu * d * x - hv * y), (hu * d * y + hv * x), -hu * r2], axis=-1) @ q
+    normals = np.stack(kernels.pencil_normals(pencil.e1, pencil.e2, pencil.ts), axis=-1)
+    return LocusResult(points=points, margins=margins, normals=normals)
 
 
 def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusResult:
     """h points and margins of b over the pencil of planes through p and b.
 
     All planes are reduced in one array pass in the contact frame of
-    `kernels.contact_frame`: each plane's radius R comes from
+    `kernels.contact_frame` (`kernels.pencil_planes`, the pass that pencil
+    `p_bounds` and `analyze` share): each plane's radius R comes from
     `kernels.polar_factors`, its (R alpha, R beta, gamma) from
     `kernels.reduce_planes`, b's in-plane coordinates (u_b, v_b), scaled by
     R, from `kernels.chord_coords`, and
@@ -218,24 +276,7 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusRes
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
     _, q, mp, gp = _contact(ell, p, b)
-    e1, e2, ts = _pencil(p, b, n_planes)
-    x, y, d = kernels.pencil_normals(q @ e1, q @ e2, ts)
-    radius, c, cos_b, sin_b, valid = kernels.polar_factors(x, y, d)
-    if not valid.all():
-        # such a plane has normal +-p, which puts b on the tangent plane at p
-        raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
-    mu, nu, ga = kernels.reduce_planes(mp, gp, radius, c, cos_b, sin_b)
-    r2 = radius * radius
-    wu, wv = kernels.chord_coords(x, y, d, r2, q @ (b - p))
-    margins = kernels.plane_margin(mu, nu, ga, radius, wu / radius, wv / radius)
-    # den = r2 (alpha u_b + beta v_b + gamma); h = p + (w_u u' + w_v v') / den
-    # with u' = (d x, d y, -r2) and v' = (-y, x, 0) the R-scaled in-plane axes
-    den = mu * wu + nu * wv + ga * r2
-    scale = 1.0 / np.where(np.abs(den) < 1e-12 * r2, np.nan, den)
-    hu, hv = wu * scale, wv * scale
-    points = p + np.stack([(hu * d * x - hv * y), (hu * d * y + hv * x), -hu * r2], axis=-1) @ q
-    normals = np.stack(kernels.pencil_normals(e1, e2, ts), axis=-1)
-    return LocusResult(points=points, margins=margins, normals=normals)
+    return _locus(_pencil_pass(q, mp, gp, p, b, n_planes), p, q)
 
 
 def classify_locus(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> str:
@@ -389,65 +430,112 @@ def p_bounds(
     p = np.asarray(p, dtype=float)
     if b is not None:
         b = np.asarray(b, dtype=float)
-    minv, q, mp, gp = _contact(ell, p, b)
-    # the scans and the refinement take M' and g' as Python floats
-    mp_f, gp_f = mp.tolist(), gp.tolist()
-    # Each mode gives its scan's extremes (lo_min at plane imin, hi_max at
-    # plane imax, over n_planes planes) and its chart: the chart point of
-    # grid plane i, the signed value to minimise at a chart point (+inf on
-    # planes it rejects), and the normal at a chart point.
+    _, q, mp, gp = _contact(ell, p, b)
     if b is None:
-        mode = "ellipsoid"
-        n_theta, n_phi = resolution
-        lo_min, imin, hi_max, imax, n_planes = kernels.scan_grid(mp_f, gp_f, n_theta, n_phi)
-        grid_a, grid_b = kernels.polar_grid(n_theta, n_phi)
+        return _full_bounds(q, mp, gp, resolution, refine)
+    pencil = _pencil_pass(q, mp, gp, p, b, max(resolution))
+    return _pencil_bounds(q, mp, gp, pencil, *kernels.pencil_thresholds(pencil.planes), refine)
 
-        def chart_point(i):
-            return float(grid_a[i // n_phi]), float(grid_b[i % n_phi])
 
-        def signed_value(angles, sign):
-            a, b = angles
-            s = math.sin(a)
-            # reject nearly tangent planes, R < 5e-3; the reduction's
-            # rounding error grows like eps/R (3e-11 relative at
-            # R = 1e-5, measured against exact arithmetic)
-            if s * s < 5e-3**2:
-                return np.inf
-            mu, nu, ga = kernels.reduce_planes(mp_f, gp_f, s, math.cos(a), math.cos(b), math.sin(b))
-            lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
-            return lo_s if sign > 0.0 else -hi_s
+def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
+    """`pure_state_probability`, `locus_of_h` over n_planes pencil planes,
+    full-sphere `p_bounds` at resolution (n_planes, 2 n_planes) and pencil
+    `p_bounds` over the same n_planes planes, all refined, from one contact
+    check and one reduction of the pencil.
 
-        def chart_normal(angles):
-            a, b = angles
-            s = math.sin(a)
-            return np.array([s * math.cos(b), s * math.sin(b), math.cos(a)]) @ q
+    The results equal those of the four separate calls. The pencil pass
+    gives the margins, the h points and, per plane, the threshold at b's
+    chord slope: b is steerable in a plane iff p_p exceeds its threshold.
 
-    else:
-        mode = "pencil"
-        e1, e2, ts = _pencil(p, b, max(resolution))
-        thresholds, valid = kernels.scan_pencil(minv, ell.centre, p, b, e1, e2, ts)
-        lo, hi = np.where(valid, thresholds, np.inf), np.where(valid, thresholds, -np.inf)
-        imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
-        lo_min, hi_max, n_planes = float(lo[imin]), float(hi[imax]), int(valid.sum())
-        qe1_f, qe2_f, db_f = (q @ e1).tolist(), (q @ e2).tolist(), (q @ (b - p)).tolist()
+    Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
+    when b is not inside the ellipsoid (as `pure_state_probability` does),
+    and InvalidReducedState when b is at p, where the pencil is undefined.
+    """
+    p = np.asarray(p, dtype=float)
+    b = np.asarray(b, dtype=float)
+    minv, q, mp, gp = _contact(ell, p, None)
+    p_p = _probability(minv, ell.centre, p, b)
+    pencil = _pencil_pass(q, mp, gp, p, b, n_planes)
+    locus = _locus(pencil, p, q)
+    thresholds, valid = kernels.pencil_thresholds(pencil.planes)
+    return Analysis(
+        pure_state_probability=p_p,
+        locus=locus,
+        thresholds=thresholds,
+        valid=valid,
+        bounds=_full_bounds(q, mp, gp, (n_planes, 2 * n_planes), True),
+        bounds_pencil=_pencil_bounds(q, mp, gp, pencil, thresholds, valid, True),
+    )
 
-        def chart_point(i):
-            return (float(ts[i]),)
 
-        def signed_value(t, sign):
-            x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t[0])
-            s, c, cos_b, sin_b, ok = kernels.polar_factors(x, y, d)
-            if not ok:
-                return np.inf
-            k, ok = kernels.chord_slope(x, y, d, s * s, db_f)
-            if not ok:
-                return np.inf
-            mu, nu, ga = kernels.reduce_planes(mp_f, gp_f, s, c, cos_b, sin_b)
-            return sign * kernels.pencil_threshold(mu, nu, ga, k)
+# Each mode of `p_bounds` gives its scan's extremes (lo_min at plane imin,
+# hi_max at plane imax, over n_planes planes) and its chart: the chart point
+# of grid plane i, the signed value to minimise at a chart point (+inf on
+# planes it rejects), and the normal at a chart point.
 
-        def chart_normal(t):
-            return np.array(kernels.pencil_normals(e1, e2, t[0]))
 
+def _full_bounds(q, mp, gp, resolution, refine):
+    """Full-sphere `p_bounds` in the contact frame (Q, M', g') of `_contact`."""
+    n_theta, n_phi = resolution
+    scan = kernels.scan_grid(mp, gp, n_theta, n_phi)
+    grid_a, grid_b = kernels.polar_grid(n_theta, n_phi)
+
+    def chart_point(i):
+        return float(grid_a[i // n_phi]), float(grid_b[i % n_phi])
+
+    def signed_value(angles, sign):
+        a, b = angles
+        s = math.sin(a)
+        # reject nearly tangent planes, R < 5e-3; the reduction's rounding
+        # error grows like eps/R (3e-11 relative at R = 1e-5, measured
+        # against exact arithmetic)
+        if s * s < 5e-3**2:
+            return np.inf
+        mu, nu, ga = kernels.reduce_planes(mp, gp, s, math.cos(a), math.cos(b), math.sin(b))
+        lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
+        return lo_s if sign > 0.0 else -hi_s
+
+    def chart_normal(angles):
+        a, b = angles
+        s = math.sin(a)
+        return np.array([s * math.cos(b), s * math.sin(b), math.cos(a)]) @ q
+
+    return _refined_bounds("ellipsoid", scan, chart_point, signed_value, chart_normal, refine)
+
+
+def _pencil_bounds(q, mp, gp, pencil, thresholds, valid, refine):
+    """Pencil `p_bounds` over the planes of a `_pencil_pass`, from their
+    `kernels.pencil_thresholds`."""
+    lo, hi = np.where(valid, thresholds, np.inf), np.where(valid, thresholds, -np.inf)
+    imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
+    scan = float(lo[imin]), imin, float(hi[imax]), imax, int(valid.sum())
+    qe1_f, qe2_f, db_f = pencil.frame
+
+    def chart_point(i):
+        return (float(pencil.ts[i]),)
+
+    def signed_value(t, sign):
+        x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t[0])
+        s, c, cos_b, sin_b, ok = kernels.polar_factors(x, y, d)
+        if not ok:
+            return np.inf
+        r2 = s * s
+        k, ok = kernels.chord_slope(*kernels.chord_coords(x, y, d, r2, db_f), r2)
+        if not ok:
+            return np.inf
+        mu, nu, ga = kernels.reduce_planes(mp, gp, s, c, cos_b, sin_b)
+        return sign * kernels.pencil_threshold(mu, nu, ga, k)
+
+    def chart_normal(t):
+        return np.array(kernels.pencil_normals(pencil.e1, pencil.e2, t[0]))
+
+    return _refined_bounds("pencil", scan, chart_point, signed_value, chart_normal, refine)
+
+
+def _refined_bounds(mode, scan, chart_point, signed_value, chart_normal, refine):
+    """`ProbBounds` from a scan's extremes, each polished by `_newton_polish`
+    from its grid point when refine is set."""
+    lo_min, imin, hi_max, imax, n_planes = scan
     extremes = []
     for sign, i, value in ((1.0, imin, lo_min), (-1.0, imax, -hi_max)):
         point, polished = chart_point(i), value

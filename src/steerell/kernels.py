@@ -16,16 +16,25 @@ that refines the bounds in `criteria.p_bounds`):
   pencil_threshold  per-plane threshold at the chord slope k of b
 
 Kernels:
+  pencil_planes   one reduction of the pencil through p and b, from which
+                  `criteria` takes margins, h points and, by
+                  `pencil_thresholds`, each plane's threshold at b
   scan_grid       extremes of the per-plane probability bounds over the
                   contact-frame polar grid of the full-sphere scan, in
-                  blocks of rows (`polar_grid`, `grid_blocks`)
+                  blocks of rows (`polar_grid`, `grid_blocks`) computed in
+                  place in a per-thread workspace of six block-sized arrays,
+                  0.8 MB, so that a warm scan takes no page faults (block
+                  size and measured fault counts at `scan_grid`)
   scan_bounds     per-plane probability bounds for given world-frame normals
   scan_pencil     per-plane steerability thresholds over the pencil through b
+                  from world-frame inputs: `pencil_planes` and
+                  `pencil_thresholds` in a contact frame of its own
   triangle_sweep  brute-force search for a local-model triangle in a section
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -186,10 +195,10 @@ def chord_coords(x, y, d, r2, db):
     return d * (x * db[0] + y * db[1]) - r2 * db[2], x * db[1] - y * db[0]
 
 
-def chord_slope(x, y, d, r2, db):
-    """(k, valid): the chord slope v_b / u_b of db = Q (b - p) in each plane;
-    valid where u_b > 1e-12, i.e. where b is on the u > 0 side of p."""
-    wu, wv = chord_coords(x, y, d, r2, db)
+def chord_slope(wu, wv, r2):
+    """(k, valid): the chord slope v_b / u_b from R (u_b, v_b) of
+    `chord_coords`; valid where u_b > 1e-12, i.e. where b is on the u > 0
+    side of p."""
     valid = (wu > 0.0) & (wu * wu > _R2_EPS * _R2_EPS * r2)
     return wv / _select(valid, wu, 1.0), valid
 
@@ -265,8 +274,86 @@ def pencil_normals(e1, e2, ts):
     return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
 
 
-# planes per block of `scan_grid` and `scan_bounds`; see `scan_grid`
-SCAN_BLOCK = 4096
+def pencil_planes(qe1, qe2, mp, gp, ts, db):
+    """The pencil planes with contact-frame normals cos(t) qe1 + sin(t) qe2,
+    reduced once: (x, y, d, R, mu, nu, gamma, R u_b, R v_b, valid).
+
+    qe1 and qe2 are the pencil frame in contact-frame coordinates, db is
+    Q (b - p), and `mp`, `gp` are M' and g' of `contact_frame`. Near-tangent
+    planes are invalid (`polar_factors`) and have mu = nu = gamma = 0.
+    """
+    x, y, d = pencil_normals(qe1, qe2, ts)
+    s, c, cos_b, sin_b, valid = polar_factors(x, y, d)
+    mu, nu, ga = (term * valid for term in reduce_planes(mp, gp, s, c, cos_b, sin_b))
+    wu, wv = chord_coords(x, y, d, s * s, db)
+    return x, y, d, s, mu, nu, ga, wu, wv, valid
+
+
+def pencil_thresholds(planes):
+    """(thresholds, valid) of the `pencil_planes` planes: each plane's
+    threshold at the chord slope of b, 0 where the plane or b's chord
+    (`chord_slope`) is invalid."""
+    _, _, _, s, mu, nu, ga, wu, wv, valid = planes
+    k, valid_b = chord_slope(wu, wv, s * s)
+    valid = valid & valid_b
+    return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
+
+
+# Planes per block of `scan_grid` and `scan_bounds`. A `scan_grid` block of
+# floor(SCAN_BLOCK / n_phi) rows, 16,200 planes at n_phi = 360, is computed in
+# place in the thread's workspace (`_workspace`): 2 blocks at (180, 360), and
+# no page faults once warm, where fresh blocks this large took 348 faults a
+# call (`scan_grid` has the measurements).
+SCAN_BLOCK = 16384
+
+# per-thread scratch of `grid_blocks`: concurrent scans must not share it
+_local = threading.local()
+
+
+def _workspace(rows, n_phi):
+    """Six (rows, n_phi) float64 arrays for one `grid_blocks` block: views of
+    this thread's (6, max(SCAN_BLOCK, rows n_phi)) buffer, allocated on the
+    thread's first scan and again only when a block needs more room."""
+    size = rows * n_phi
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.shape[1] < size:
+        buf = _local.buf = np.empty((6, max(SCAN_BLOCK, size)))
+    return buf[:, :size].reshape(6, rows, n_phi)
+
+
+def _block_bounds(rows, cols, work):
+    """`plane_bounds(*reduce_terms(rows, cols))`, computed with the same
+    operations in the same order, so bit for bit the same, but written with
+    `out=` into the six arrays of `work`. Returns views (lo, hi) into it.
+    The tests hold it to a whole-array evaluation of those two functions."""
+    s, c, cs, t, h, cot = rows
+    n_s, n_c, w2, m_cs, g_w, g_cot = cols
+    nu, mu, ga, opg, nu2, tmp = work
+    mul, sub, add = np.multiply, np.subtract, np.add
+    # reduce_terms
+    mul(s, n_s, out=nu)
+    sub(nu, mul(c, n_c, out=tmp), out=nu)
+    mul(cs, m_cs, out=mu)
+    sub(mu, mul(t, w2, out=tmp), out=mu)
+    add(mu, h, out=mu)
+    sub(g_w, mul(cot, g_cot, out=tmp), out=ga)
+    # plane_bounds; each array is reused once its value is dead
+    add(1.0, ga, out=opg)
+    mul(nu, nu, out=nu2)
+    spread = np.sqrt(add(mul(mu, mu, out=nu), nu2, out=nu), out=nu)
+    mul(nu2, opg, out=nu2)
+    g2 = mul(ga, ga, out=tmp)
+    mul(spread, g2, out=spread)
+    num = sub(sub(1.0, ga, out=ga), nu2, out=ga)
+    sub(num, mul(mu, sub(2.0, g2, out=tmp), out=tmp), out=num)
+    den = add(mul(2.0, mu, out=mu), nu2, out=mu)
+    mul(den, np.negative(opg, out=opg), out=den)
+    add(den, 1.0, out=den)
+    lo = sub(num, spread, out=opg)
+    np.divide(lo, den, out=lo)
+    add(num, spread, out=num)
+    np.divide(num, den, out=num)
+    return lo, num
 
 
 def polar_grid(n_theta, n_phi):
@@ -289,9 +376,10 @@ def grid_blocks(mp, gp, n_theta, n_phi):
 
     Yields (start, lo, hi): lo and hi are (rows, n_phi) arrays of the
     per-plane (p_min, p_max) of the planes numbered start, start + 1, ... in
-    row-major order. Rows with sin(a)^2 <= 1e-12, nearer the tangent plane
-    than `polar_factors` admits, are skipped; only n_theta above 1.5 million
-    has one.
+    row-major order. They are views into the thread's workspace, valid only
+    until the next block is yielded: copy a block to keep it. Rows with
+    sin(a)^2 <= 1e-12, nearer the tangent plane than `polar_factors` admits,
+    are skipped; only n_theta above 1.5 million has one.
     """
     a, b = polar_grid(n_theta, n_phi)
     s = np.sin(a)
@@ -299,10 +387,12 @@ def grid_blocks(mp, gp, n_theta, n_phi):
     first = int(np.count_nonzero(s * s <= _R2_EPS))
     rows = row_terms(mp, s[first:, None], np.cos(a[first:])[:, None])
     cols = column_terms(mp, gp, np.cos(b), np.sin(b))
+    n_rows = len(rows[0])
     step = max(1, SCAN_BLOCK // n_phi)
-    for i in range(0, len(rows[0]), step):
+    work = _workspace(min(step, n_rows), n_phi)
+    for i in range(0, n_rows, step):
         block = [term[i : i + step] for term in rows]
-        yield (first + i) * n_phi, plane_bounds(*reduce_terms(block, cols))
+        yield (first + i) * n_phi, _block_bounds(block, cols, work[:, : len(block[0])])
 
 
 def scan_grid(mp, gp, n_theta, n_phi):
@@ -314,17 +404,28 @@ def scan_grid(mp, gp, n_theta, n_phi):
     per-plane p_max, i_min and i_max the first planes attaining them, and
     n_planes the number of planes scanned.
 
-    The column terms of the reduction are computed once per call, and each
-    block of rows costs about 9 array passes for (mu, nu, gamma) plus
-    `plane_bounds`; reducing rotated Cartesian normals took about 48. The
-    blocks hold floor(SCAN_BLOCK / n_phi) rows, 3,960 planes at n_phi = 360,
-    so every temporary stays below glibc's default 128 KB mmap threshold and
-    the allocator reuses it. Evaluated whole, the 32,400-plane scan built
-    about 3 MB of 259 KB temporaries per call, which glibc returned to the
-    OS after every call: 727-863 minor page faults and 1.3-1.9 ms of system
-    time per warm call, against about 3 faults for this kernel in a warm
-    (180, 360) `criteria.p_bounds` (2-vCPU box, 30 tangent states). No
-    per-plane array outlives its block.
+    The column terms of the reduction are computed once per call. Each block
+    of floor(SCAN_BLOCK / n_phi) rows, 16,200 planes at n_phi = 360, costs
+    about 33 array passes: about 9 for (mu, nu, gamma), 22 for
+    `plane_bounds` and one each for the two extremes. Reducing rotated
+    Cartesian normals took about 48 for (mu, nu, gamma) alone. Every
+    arithmetic pass writes with `out=` into six block-sized arrays of the
+    thread's workspace (0.8 MB at the default block; more only when one row
+    of n_phi planes exceeds SCAN_BLOCK), so a warm call allocates no
+    per-plane array, and the results are bit-identical to
+    `plane_bounds(*reduce_terms(...))` on the whole grid.
+
+    Block size and allocation were both measured on a 2-vCPU box with
+    numpy 2.4, as minor page faults per warm unrefined (180, 360)
+    `criteria.p_bounds` call over 30 tangent states. Evaluated whole, the
+    32,400-plane scan built about 3 MB of 259 KB temporaries per call,
+    which glibc returned to the OS after each call: 727-863 faults. Fresh
+    blocks of 3,960 planes, each temporary below glibc's 128 KB mmap
+    threshold, took 0-3 faults but paid numpy's per-call overhead on 9
+    blocks. Fresh blocks of 16,200 planes cross that threshold and took 348
+    faults. In the workspace the same 2 blocks take 0, and the kernel runs
+    about a quarter faster than on 9 fresh blocks (`timeit`, medians over
+    10 tangent states, 0.68-0.79 against 0.84-1.06 ms).
     """
     lo_min, i_min, hi_max, i_max, n = math.inf, 0, -math.inf, 0, 0
     for start, (lo, hi) in grid_blocks(mp, gp, n_theta, n_phi):
@@ -374,12 +475,9 @@ def scan_pencil(minv, centre, p, b, e1, e2, ts):
     side of p come back invalid, as do near-tangent planes.
     """
     q, mp, gp = contact_frame(minv, centre, p)
-    x, y, d = pencil_normals(q @ e1, q @ e2, np.asarray(ts, dtype=float))
-    s, c, cos_b, sin_b, valid = polar_factors(x, y, d)
-    mu, nu, ga = (term * valid for term in reduce_planes(mp.tolist(), gp.tolist(), s, c, cos_b, sin_b))
-    k, valid_b = chord_slope(x, y, d, s * s, q @ (np.asarray(b, dtype=float) - p))
-    valid = valid & valid_b
-    return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
+    db = q @ (np.asarray(b, dtype=float) - p)
+    ts = np.asarray(ts, dtype=float)
+    return pencil_thresholds(pencil_planes(q @ e1, q @ e2, mp.tolist(), gp.tolist(), ts, db))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steerell import cli, families, sampling, state_to_json_dict
+from steerell import cli, criteria, ellipsoid_from_geometry, families, kernels, sampling, state_to_json_dict
 
 
 def _write_state(path, obj):
@@ -135,6 +135,38 @@ def test_valid_state_outside_scenario_exit_code(capsys, tmp_path, obj):
     assert payload["state"] == obj
     assert payload["error"] in err
     assert "steerable" not in payload
+
+
+def test_analyze_with_b_at_the_contact_point_reports_p_p_and_exits_3(capsys, monkeypatch, tmp_path):
+    # b on the sphere makes a product state, whose ellipsoid collapses, so
+    # the sphere of radius 0.4 touching at +z stands in for it, with
+    # b = p = +z: the pencil through p and b is undefined, p_p = 1 is not
+    sphere = ellipsoid_from_geometry([0.0, 0.0, 0.6], [0.4, 0.4, 0.4])
+    monkeypatch.setattr(cli, "steering_ellipsoid", lambda state: sphere)
+    obj = {"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0], "T": [[0.0] * 3] * 3}
+    code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["pure_state_probability"] == 1.0
+    assert "coincides with the contact point" in payload["error"]
+    assert payload["error"] in err
+    assert "steerable" not in payload
+
+
+def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
+    # the separate probability, locus and two bounds calls checked the
+    # contact point and built its frame four times each
+    calls = {"contact_frame": 0, "check_on_both_surfaces": 0}
+    for module, name in ((kernels, "contact_frame"), (criteria, "check_on_both_surfaces")):
+
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _out, _err = _run(capsys, ["analyze", "--state", obese_file])
+    assert code == 0
+    assert calls == {"contact_frame": 1, "check_on_both_surfaces": 1}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

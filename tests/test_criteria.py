@@ -35,7 +35,10 @@ from steerell import (
     steerable_in_plane,
     steering_ellipsoid,
     tangency,
+    tangent_sphere_state,
+    tangent_spheroid_state,
     tangent_x_geometry,
+    tangent_x_state,
     x_locus_endpoint,
     x_state_p_bounds,
 )
@@ -390,6 +393,75 @@ def test_bounds_hand_out_normals_the_caller_may_write(refine):
         normal[:] = np.nan
     again = p_bounds(ell, p=rep.point, resolution=(7, 14), refine=refine)
     assert (again.p_min, again.p_max, again.argmin_normal.tolist(), again.argmax_normal.tolist()) == want
+
+
+@functools.lru_cache(maxsize=1)
+def _analyze_cases():
+    """(ell, b, p) of 20 seeded tangent states and one member of each
+    closed-form family, as the CLI derives them."""
+    cases = []
+    for seed in range(20):
+        state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
+        cases.append((ell, state.b, rep.point))
+    families = (
+        tangent_sphere_state(0.4),
+        tangent_spheroid_state(0.5, 0.4),
+        obese_state(0.5),
+        tangent_x_state(0.2, 0.5, 0.6, -0.6),
+    )
+    for state in families:
+        ell = steering_ellipsoid(state)
+        cases.append((ell, state.b, tangency(ell).point))
+    return cases
+
+
+def _bounds_fields(bounds):
+    return (
+        bounds.p_min,
+        bounds.p_max,
+        bounds.mode,
+        bounds.n_planes,
+        bounds.argmin_normal.tolist(),
+        bounds.argmax_normal.tolist(),
+    )
+
+
+@pytest.mark.parametrize("n_planes", [180, 7])
+def test_analyze_equals_the_separate_calls(n_planes):
+    # one contact check and one pencil pass give exactly what the four
+    # public calls give, one at a time
+    for ell, b, p in _analyze_cases():
+        got = criteria.analyze(ell, b, p=p, n_planes=n_planes)
+        assert got.pure_state_probability == pure_state_probability(ell, p, b)
+        locus = locus_of_h(ell, b, n_planes=n_planes, p=p)
+        for field in ("points", "margins", "normals"):
+            assert np.array_equal(getattr(got.locus, field), getattr(locus, field), equal_nan=True), field
+        full = p_bounds(ell, p=p, resolution=(n_planes, 2 * n_planes))
+        pencil = p_bounds(ell, p=p, b=b, resolution=(n_planes, n_planes))
+        assert _bounds_fields(got.bounds) == _bounds_fields(full)
+        assert _bounds_fields(got.bounds_pencil) == _bounds_fields(pencil)
+
+
+def test_margin_sign_is_the_sign_of_p_p_above_the_threshold():
+    # the paper's per-plane statement, read from one analyze pass: b is
+    # steerable in a plane iff p_p exceeds that plane's threshold at b's
+    # chord slope. The pass's thresholds must also be scan_pencil's, bit
+    # for bit, so that the reference evaluator and the pass cannot drift.
+    checked = 0
+    for seed in range(50):
+        state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
+        p, b = rep.point, state.b
+        got = criteria.analyze(ell, b, p=p, n_planes=180)
+        e1, e2, ts = criteria._pencil(p, b, 180)
+        thresholds, valid = kernels.scan_pencil(ell.inverse_shape_matrix(), ell.centre, p, b, e1, e2, ts)
+        assert np.array_equal(got.valid, valid)
+        assert np.array_equal(got.thresholds, thresholds)
+        margins = got.locus.margins
+        keep = valid & (np.abs(margins) > 1e-8)
+        assert np.array_equal(np.sign(margins[keep]), np.sign(got.pure_state_probability - thresholds[keep]))
+        checked += int(keep.sum())
+    # the identity is checked on nearly every plane, not vacuously
+    assert checked >= 0.95 * 50 * 180
 
 
 # ---------------------------------------------------------------------------

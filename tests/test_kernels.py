@@ -286,8 +286,9 @@ def test_grid_scan_matches_scan_bounds_plane_by_plane(monkeypatch, resolution, b
         for start, (lo_b, hi_b) in kernels.grid_blocks(mp, gp, n_theta, n_phi):
             assert start == sum(map(len, grid_lo)) and lo_b.shape == hi_b.shape
             assert lo_b.shape[1] == n_phi and lo_b.shape[0] <= max(1, kernels.SCAN_BLOCK // n_phi)
-            grid_lo.append(lo_b.ravel())
-            grid_hi.append(hi_b.ravel())
+            # a block is a workspace view, valid until the next one
+            grid_lo.append(lo_b.ravel().copy())
+            grid_hi.append(hi_b.ravel().copy())
         grid_lo, grid_hi = np.concatenate(grid_lo), np.concatenate(grid_hi)
         # the two paths differ by rounding alone: 1.8e-14 at most over 20 draws
         np.testing.assert_allclose(grid_lo, lo, rtol=0, atol=1e-12)
@@ -296,3 +297,81 @@ def test_grid_scan_matches_scan_bounds_plane_by_plane(monkeypatch, resolution, b
         got = kernels.scan_grid(mp, gp, n_theta, n_phi)
         want = (grid_lo.min(), int(grid_lo.argmin()), grid_hi.max(), int(grid_hi.argmax()), len(a) * n_phi)
         assert got == want
+
+
+def _whole_grid_scan(mp, gp, n_theta, n_phi):
+    """scan_grid's result from one whole-array evaluation of the polar grid:
+    the fresh-array reference for the in-place blocked kernel."""
+    a, b = kernels.polar_grid(n_theta, n_phi)
+    lo, hi = kernels.plane_bounds(
+        *kernels.reduce_planes(mp, gp, np.sin(a)[:, None], np.cos(a)[:, None], np.cos(b), np.sin(b))
+    )
+    return float(lo.min()), int(lo.argmin()), float(hi.max()), int(hi.argmax()), lo.size
+
+
+# interleaved, so that each call finds the workspace shaped by another; the
+# n_phi of (3, 20000) is above SCAN_BLOCK, so its blocks outgrow the default
+_INTERLEAVED = [(180, 360), (7, 11), (181, 360), (3, 20000), (90, 180), (180, 360)]
+
+
+@pytest.mark.parametrize("block", ["shipped", "13"])
+def test_scan_grid_equals_a_whole_array_reference_bit_for_bit(monkeypatch, block):
+    if block == "13":
+        monkeypatch.setattr(kernels, "SCAN_BLOCK", 13)
+    for seed in range(3):
+        _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
+        _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
+        mp, gp = mp.tolist(), gp.tolist()
+        for resolution in _INTERLEAVED:
+            assert kernels.scan_grid(mp, gp, *resolution) == _whole_grid_scan(mp, gp, *resolution), resolution
+
+
+def test_warm_scan_grid_takes_almost_no_page_faults():
+    # blocks of 16K planes as fresh arrays took 316 minor faults a call,
+    # from crossing glibc's 128 KB mmap threshold; the workspace takes none
+    resource = pytest.importorskip("resource")
+    _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(4))
+    _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
+    mp, gp = mp.tolist(), gp.tolist()
+    kernels.scan_grid(mp, gp, 180, 360)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        kernels.scan_grid(mp, gp, 180, 360)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert (after - before) / 20 < 5
+
+
+def test_concurrent_scans_keep_their_own_workspace():
+    # a workspace shared between threads would let one scan overwrite the
+    # blocks of another while numpy runs with the GIL released, or while
+    # the other thread holds it between two array passes
+    import sys
+    import threading
+
+    jobs = []
+    for seed, resolution in ((0, (180, 360)), (1, (90, 180))):
+        _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
+        _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
+        jobs.append((mp.tolist(), gp.tolist(), *resolution))
+    serial = [kernels.scan_grid(*job) for job in jobs]
+    results = [[], []]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        for _ in range(50):
+            results[i].append(kernels.scan_grid(*jobs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert got == [want] * 50
