@@ -126,6 +126,14 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _margin_verdict(margins, band):
+    """(margin_max, steerable, indeterminate) of the pencil margins: b is
+    steerable iff its largest margin is positive, and that sign is rounding
+    noise when the margin is within band of 0."""
+    margin_max = float(margins.max())
+    return margin_max, bool(margin_max > 0.0), bool(abs(margin_max) < band)
+
+
 def _analyze(state, args, payload):
     ell = steering_ellipsoid(state)
     payload["ellipsoid"] = _ellipsoid_dict(ell)
@@ -143,17 +151,16 @@ def _analyze(state, args, payload):
         payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
         raise
     margins = result.locus.margins
-    margin_max = float(margins.max())
-    margin_min = float(margins.min())
+    margin_max, steerable, indeterminate = _margin_verdict(margins, args.band)
     bounds_ell, bounds_pencil = result.bounds, result.bounds_pencil
     payload.update(
         {
             "pure_state_probability": result.pure_state_probability,
             "classification": criteria.classify_margins(margins),
-            "margin_min": margin_min,
+            "margin_min": float(margins.min()),
             "margin_max": margin_max,
-            "steerable": bool(margin_max > 0.0),
-            "indeterminate": bool(abs(margin_max) < args.band),
+            "steerable": steerable,
+            "indeterminate": indeterminate,
             "p_bounds": {
                 "p_min": bounds_ell.p_min,
                 "p_max": bounds_ell.p_max,
@@ -270,20 +277,17 @@ def _parse_params(pairs, family):
 
 
 def _sweep_row(ell, p, b, planes, pencil_bounds):
-    p_pure = criteria.pure_state_probability(ell, p, b)
-    locus = criteria.locus_of_h(ell, b, n_planes=planes, p=p)
-    margin = float(locus.margins.max())
-    if pencil_bounds:
-        bounds = criteria.p_bounds(ell, p=p, b=b, resolution=(planes, planes))
-    else:
-        bounds = criteria.p_bounds(ell, p=p, resolution=(planes, 2 * planes))
+    result = criteria.analyze(ell, b, p=p, n_planes=planes)
+    margin, steerable, indeterminate = _margin_verdict(result.locus.margins, BOUNDARY_BAND)
+    # only the bound the row reports is computed
+    bounds = result.bounds_pencil if pencil_bounds else result.bounds
     return {
-        "steerable": margin > 0.0,
-        "p_p": p_pure,
+        "steerable": steerable,
+        "p_p": result.pure_state_probability,
         "p_min": bounds.p_min,
         "p_max": bounds.p_max,
         "margin": margin,
-        "indeterminate": abs(margin) < BOUNDARY_BAND,
+        "indeterminate": indeterminate,
     }
 
 

@@ -18,7 +18,8 @@ p > p_max is sufficient and p > p_min necessary for steerability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -91,14 +92,30 @@ class ProbBounds:
 
 @dataclass(frozen=True)
 class Analysis:
-    """What `analyze` derives from one contact check and one pencil pass."""
+    """What `analyze` derives from one contact check and one pencil pass.
+
+    The two bounds are computed the first time they are read, on the
+    contact frame and the pencil pass that `analyze` holds, so a caller that
+    reports one of them does not pay for the other.
+    """
 
     pure_state_probability: float
     locus: LocusResult
     thresholds: np.ndarray  # (n,) threshold of each pencil plane at b's chord slope, 0 where invalid
     valid: np.ndarray  # (n,) pencil planes where b's chord is valid
-    bounds: ProbBounds  # full sphere, on the (n, 2n) grid
-    bounds_pencil: ProbBounds  # over the n pencil planes
+    _frame: tuple = field(repr=False)  # (Q, M', g') of `_contact`
+    _pass: _Pencil = field(repr=False)  # the `_pencil_pass`
+
+    @cached_property
+    def bounds(self) -> ProbBounds:
+        """Full-sphere bounds on the (n, 2n) grid, refined."""
+        n_planes = len(self._pass.ts)
+        return _full_bounds(*self._frame, (n_planes, 2 * n_planes), True)
+
+    @cached_property
+    def bounds_pencil(self) -> ProbBounds:
+        """Bounds over the n pencil planes, refined."""
+        return _pencil_bounds(*self._frame, self._pass, self.thresholds, self.valid, True)
 
 
 def steerable_in_plane(section: PlaneSection, b_local) -> PlaneVerdict:
@@ -446,6 +463,9 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
     The results equal those of the four separate calls. The pencil pass
     gives the margins, the h points and, per plane, the threshold at b's
     chord slope: b is steerable in a plane iff p_p exceeds its threshold.
+    The two bounds are computed on first read (`Analysis.bounds`,
+    `Analysis.bounds_pencil`): `steerell analyze` reads both, and each
+    `family-sweep` row reads the one its family reports.
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
     when b is not inside the ellipsoid (as `pure_state_probability` does),
@@ -463,8 +483,8 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
         locus=locus,
         thresholds=thresholds,
         valid=valid,
-        bounds=_full_bounds(q, mp, gp, (n_planes, 2 * n_planes), True),
-        bounds_pencil=_pencil_bounds(q, mp, gp, pencil, thresholds, valid, True),
+        _frame=(q, mp, gp),
+        _pass=pencil,
     )
 
 

@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from steerell import cli, criteria, ellipsoid_from_geometry, families, kernels, sampling, state_to_json_dict
+from steerell import (
+    cli,
+    criteria,
+    ellipsoid_from_geometry,
+    families,
+    kernels,
+    sampling,
+    state_to_json_dict,
+    steering_ellipsoid,
+)
 
 
 def _write_state(path, obj):
@@ -153,20 +162,41 @@ def test_analyze_with_b_at_the_contact_point_reports_p_p_and_exits_3(capsys, mon
     assert "steerable" not in payload
 
 
+# one-row sweeps: a sphere row reports the full-sphere bounds, an X-state
+# row the pencil bounds
+SPHERE_ROW = ["family-sweep", "--family", "sphere", "--param", "r=0.4:0.4:1"]
+XSTATE_ROW = ["family-sweep", "--family", "xstate"] + [
+    a for grid in ("a=0:0:1", "b=0.4:0.4:1", "t=0.5:0.5:1") for a in ("--param", grid)
+]
+
+
 def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
-    # the separate probability, locus and two bounds calls checked the
-    # contact point and built its frame four times each
-    calls = {"contact_frame": 0, "check_on_both_surfaces": 0}
-    for module, name in ((kernels, "contact_frame"), (criteria, "check_on_both_surfaces")):
+    # the separate probability, locus and bounds calls checked the contact
+    # point four times an analyze and three times a sweep row, and an
+    # X-state row reduced its pencil twice; a row now reads only the bound
+    # it reports, so an X-state row scans no full-sphere grid
+    names = (
+        (criteria, "check_on_both_surfaces"),
+        (kernels, "contact_frame"),
+        (kernels, "pencil_planes"),
+        (kernels, "scan_grid"),
+    )
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
 
         def counted(*args, _original=getattr(module, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    code, _out, _err = _run(capsys, ["analyze", "--state", obese_file])
-    assert code == 0
-    assert calls == {"contact_frame": 1, "check_on_both_surfaces": 1}
+    for argv, scans in ((["analyze", "--state", obese_file], 1), (SPHERE_ROW, 1), (XSTATE_ROW, 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        code, out, _err = _run(capsys, argv)
+        assert code == 0
+        if argv[0] == "family-sweep":
+            assert len(out.splitlines()) == 2
+        expected = {"check_on_both_surfaces": 1, "contact_frame": 1, "pencil_planes": 1, "scan_grid": scans}
+        assert calls == expected, argv
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -267,6 +297,39 @@ def test_family_sweep_keeps_the_marginal_spheroid(capsys):
     lo, hi = families.spheroid_p_bounds(0.201, 0.4483302354291979)
     assert float(row["p_min"]) == pytest.approx(lo, abs=1e-6)
     assert float(row["p_max"]) == pytest.approx(hi, abs=1e-6)
+
+
+FAMILY_ROWS = {
+    "obese": ({"c": 0.5}, families.obese_state(0.5), False),
+    "sphere": ({"r": 0.4}, families.tangent_sphere_state(0.4), False),
+    "spheroid": ({"m": 0.5, "n": 0.4}, families.tangent_spheroid_state(0.5, 0.4), False),
+    "xstate": ({"a": 0.0, "b": 0.4, "t": 0.5}, families.tangent_x_state(0.0, 0.4, 0.5, -0.5), True),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_ROWS)
+def test_family_sweep_row_equals_the_separate_calls(capsys, family):
+    # a row's cells are what the public scans give one at a time, with the
+    # bounds of the family's mode
+    params, state, pencil = FAMILY_ROWS[family]
+    argv = ["family-sweep", "--family", family, "--planes", "12"]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value!r}:{value!r}:1"]
+    code, out, _err = _run(capsys, argv)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    ell, b, p = steering_ellipsoid(state), state.b, np.array([0.0, 0.0, 1.0])
+    if pencil:
+        bounds = criteria.p_bounds(ell, p=p, b=b, resolution=(12, 12))
+    else:
+        bounds = criteria.p_bounds(ell, p=p, resolution=(12, 24))
+    expected = {
+        "p_p": criteria.pure_state_probability(ell, p, b),
+        "margin": criteria.locus_of_h(ell, b, p=p, n_planes=12).margins.max(),
+        "p_min": bounds.p_min,
+        "p_max": bounds.p_max,
+    }
+    assert {key: row[key] for key in expected} == {key: format(float(v), ".17g") for key, v in expected.items()}
 
 
 def test_family_sweep_xstate(capsys):

@@ -429,17 +429,23 @@ def _bounds_fields(bounds):
 @pytest.mark.parametrize("n_planes", [180, 7])
 def test_analyze_equals_the_separate_calls(n_planes):
     # one contact check and one pencil pass give exactly what the four
-    # public calls give, one at a time
+    # public calls give, one at a time. The bounds are computed on first
+    # read, so each is checked read alone and read before or after the other.
+    reads = (("bounds",), ("bounds_pencil",), ("bounds", "bounds_pencil"), ("bounds_pencil", "bounds"))
     for ell, b, p in _analyze_cases():
         got = criteria.analyze(ell, b, p=p, n_planes=n_planes)
         assert got.pure_state_probability == pure_state_probability(ell, p, b)
         locus = locus_of_h(ell, b, n_planes=n_planes, p=p)
         for field in ("points", "margins", "normals"):
             assert np.array_equal(getattr(got.locus, field), getattr(locus, field), equal_nan=True), field
-        full = p_bounds(ell, p=p, resolution=(n_planes, 2 * n_planes))
-        pencil = p_bounds(ell, p=p, b=b, resolution=(n_planes, n_planes))
-        assert _bounds_fields(got.bounds) == _bounds_fields(full)
-        assert _bounds_fields(got.bounds_pencil) == _bounds_fields(pencil)
+        separate = {
+            "bounds": p_bounds(ell, p=p, resolution=(n_planes, 2 * n_planes)),
+            "bounds_pencil": p_bounds(ell, p=p, b=b, resolution=(n_planes, n_planes)),
+        }
+        for names in reads:
+            got = criteria.analyze(ell, b, p=p, n_planes=n_planes)
+            for name in names:
+                assert _bounds_fields(getattr(got, name)) == _bounds_fields(separate[name]), names
 
 
 def test_margin_sign_is_the_sign_of_p_p_above_the_threshold():
