@@ -378,7 +378,7 @@ def cmd_oracle_compare(args):
             n_agree += 1
         if not oracle_verdict.steerable:
             n_unsteerable += 1
-            model = oracle.triangle_search(asm, grid=args.grid)
+            model = oracle.triangle_search(asm)
             if model is None:
                 n_models_missing += 1
             else:
@@ -387,7 +387,7 @@ def cmd_oracle_compare(args):
         "n": args.n,
         "seed": args.seed,
         "band": band,
-        "grid": args.grid,
+        "grid": args.grid,  # echoed, though the exact search ignores it
         "n_within_band": n_band,
         "n_compared": n_compared,
         "n_agree": n_agree,
@@ -479,7 +479,7 @@ def build_parser():
     sp = sub.add_parser("oracle-compare", help="randomized margin-vs-triangle cross-check")
     sp.add_argument("--n", type=_int_at_least(0), default=1000, help="number of sampled tangent states")
     sp.add_argument("--seed", type=_int_at_least(0), default=42)
-    sp.add_argument("--grid", type=_int_at_least(2), default=2000, help="triangle sweep resolution")
+    sp.add_argument("--grid", type=_int_at_least(2), default=2000, help="ignored; the search is exact")
     sp.add_argument("--band", type=_non_negative, default=1e-8, help="margin exclusion band")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_oracle_compare)

@@ -29,7 +29,9 @@ Kernels:
   scan_pencil     per-plane steerability thresholds over the pencil through b
                   from world-frame inputs: `pencil_planes` and
                   `pencil_thresholds` in a contact frame of its own
-  triangle_sweep  brute-force search for a local-model triangle in a section
+  triangle_sweep  brute-force grid search for a local-model triangle in a
+                  section; no caller in the package, it is the tests'
+                  reference for `oracle.triangle_search`, which is exact
 """
 from __future__ import annotations
 

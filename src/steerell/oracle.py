@@ -12,12 +12,13 @@ extended to the circle and s3 on the ray p -> s_minus1 extended to the circle,
 such that s_minus0 lies between s2 and s3. Collinearity ratios then fix every
 weight, so the assemblage is unsteerable exactly when s_minus0 falls inside
 the triangle spanned by p and the two circle points. This module implements
-that membership test directly and, separately, a brute-force sweep for an
-explicit model with full bookkeeping, without touching the conic machinery
+that membership test directly and, separately, an exact interval search for
+an explicit model with full bookkeeping, without touching the conic machinery
 used by the criteria module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ class OracleVerdict:
 
 @dataclass(frozen=True)
 class TriangleSearchResult:
-    """Explicit local model found by the sweep."""
+    """Explicit local model found by the exact search. `index` is always -1;
+    it stays only because the benchmark's tracer reads it."""
 
     index: int
     s2: np.ndarray
@@ -255,21 +257,28 @@ def triangle_criterion(asm: Assemblage) -> OracleVerdict:
 
 
 def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
-    """Exact feasibility fallback for the triangle sweep.
+    """Exact triangle feasibility: (lam2, lam3, eps0) of the least admissible
+    lam2 in [0, 1], or None when no local model exists.
 
-    Every sweep constraint is a ratio of functions linear in lam2, so the
-    admissible set is a union of intervals whose endpoints are roots of four
-    linear polynomials. Testing the midpoints of the induced partition of
-    [0, 1] decides feasibility without grid resolution limits.
+    s2 = sp1 + lam2 (c1 - sp1) runs over the segment from s_plus1 to its
+    circle lift; s3 is where the line through s2 and sm0 meets the ray from
+    sm1 toward c2, at sm1 + lam3 (c2 - sm1), and sm0 splits [s2, s3] with s2's
+    weight eps0. Every constraint is a ratio of functions linear in lam2, so
+    the admissible set is a union of intervals whose endpoints are roots of
+    four linear polynomials. Testing the cut points and the midpoints of the
+    induced partition of [0, 1] decides feasibility without a grid.
     """
+    (ax, ay), (c1x, c1y), (mx, my), (c2x, c2y), (zx, zy) = (
+        (float(v[0]), float(v[1])) for v in (sp1, c1, sm1, c2, sm0)
+    )
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
-    step = c1 - sp1
-    e = c2 - sm1
-    d0, d1 = sm0 - sp1, -step
-    q0 = sm1 - sp1
+    e = (c2x - mx, c2y - my)
+    d0 = (zx - ax, zy - ay)
+    d1 = (-(c1x - ax), -(c1y - ay))
+    q0 = (mx - ax, my - ay)
     den_c = (cross(d0, e), cross(d1, e))
     ts_c = (cross(q0, e), cross(d1, e))
     l3_c = (cross(q0, d0), cross(q0, d1) + cross(d1, d0))
@@ -280,11 +289,10 @@ def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
         if abs(c1_) > 1e-15:
             root = -c0 / c1_
             if 0.0 < root < 1.0:
-                cuts.add(float(root))
+                cuts.add(root)
     grid_pts = sorted(cuts)
     candidates = [0.5 * (a + b) for a, b in zip(grid_pts[:-1], grid_pts[1:])]
-    candidates += [x for x in grid_pts if 0.0 <= x <= 1.0]
-    for lam2 in sorted(candidates):
+    for lam2 in sorted(candidates + grid_pts):
         den = den_c[0] + lam2 * den_c[1]
         if abs(den) < 1e-15:
             continue
@@ -293,66 +301,60 @@ def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
         if tsol < 1.0 - 1e-9 or lam3 < -1e-9 or lam3 > 1.0 + 1e-9:
             continue
         eps0 = 1.0 - 1.0 / tsol if tsol > 1.0 else 0.0
-        return float(lam2), float(lam3), float(eps0)
+        return lam2, lam3, eps0
     return None
 
 
-def triangle_search(asm: Assemblage, *, grid: int = 2000) -> TriangleSearchResult | None:
-    """Brute-force sweep for an explicit local model.
+def triangle_search(asm: Assemblage) -> TriangleSearchResult | None:
+    """Explicit local model from the exact interval search.
 
-    s2 runs over the segment from s_plus1 to its circle lift; the matching s3
-    follows from the lines through s_minus0 and through s_minus1. On success
-    the four hidden-strategy weights are reconstructed from collinearity
-    ratios and every defining equation of the assemblage is re-checked; the
-    worst violation is reported as `max_residual`. Returns None when no grid
-    point admits a model (the steerable case).
+    s2 lies on the segment from s_plus1 to its circle lift and s3 on the
+    segment from s_minus1 to its lift, at the least admissible lam2 of
+    `_exact_feasible_lam2`. The four hidden-strategy weights are
+    reconstructed from collinearity ratios and every defining equation of
+    the assemblage is re-checked; the worst violation is reported as
+    `max_residual`. Returns None when no model exists (the steerable case).
     """
     r = asm.radius
-    c1 = _lift_to_circle(asm.s_plus1, r)
-    c2 = _lift_to_circle(asm.s_minus1, r)
-    found, index, lam2, lam3, eps0 = kernels.triangle_sweep(
-        asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0, grid
-    )
-    if not found:
-        exact = _exact_feasible_lam2(asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0)
-        if exact is None:
-            return None
-        index, (lam2, lam3, eps0) = -1, exact
-    s2 = asm.s_plus1 + lam2 * (c1 - asm.s_plus1)
-    s3 = asm.s_minus1 + lam3 * (c2 - asm.s_minus1)
-    n2 = np.linalg.norm(s2)
-    n3 = np.linalg.norm(s3)
+    c1 = _lift_to_circle(asm.s_plus1, r).tolist()
+    c2 = _lift_to_circle(asm.s_minus1, r).tolist()
+    (ax, ay), (mx, my), (zx, zy) = (v.tolist() for v in (asm.s_plus1, asm.s_minus1, asm.s_minus0))
+    exact = _exact_feasible_lam2((ax, ay), c1, (mx, my), c2, (zx, zy))
+    if exact is None:
+        return None
+    lam2, lam3, eps0 = exact
+    s2x, s2y = ax + lam2 * (c1[0] - ax), ay + lam2 * (c1[1] - ay)
+    s3x, s3y = mx + lam3 * (c2[0] - mx), my + lam3 * (c2[1] - my)
+    n2 = math.hypot(s2x, s2y)
+    n3 = math.hypot(s3x, s3y)
     if n2 < TRIANGLE_TOL or n3 < TRIANGLE_TOL:
         return None
-    eps_p1 = 1.0 - np.linalg.norm(asm.s_plus1) / n2
-    eps_m1 = 1.0 - np.linalg.norm(asm.s_minus1) / n3
-    q_plus, q_minus = asm.probs1
-    weights = np.array(
-        [
-            q_plus * eps_p1,
-            q_minus * eps_m1,
-            q_plus * (1.0 - eps_p1),
-            q_minus * (1.0 - eps_m1),
-        ]
-    )
+    eps_p1 = 1.0 - math.hypot(ax, ay) / n2
+    eps_m1 = 1.0 - math.hypot(mx, my) / n3
+    q_plus, q_minus = asm.probs1.tolist()
+    w0 = q_plus * eps_p1
+    w1 = q_minus * eps_m1
+    w2 = q_plus * (1.0 - eps_p1)
+    w3 = q_minus * (1.0 - eps_m1)
     p_pure = asm.prob_pure
-    origin = np.zeros(2)
-    resid = [
-        abs(weights.sum() - 1.0),
-        abs(weights[0] + weights[1] - p_pure),
-        abs(weights[2] + weights[3] - (1.0 - p_pure)),
-        np.linalg.norm(weights[2] * s2 + weights[3] * s3 - (1.0 - p_pure) * asm.s_minus0),
-        np.linalg.norm(weights[0] * origin + weights[2] * s2 - q_plus * asm.s_plus1),
-        np.linalg.norm(weights[1] * origin + weights[3] * s3 - q_minus * asm.s_minus1),
-        max(0.0, -weights.min()),
-    ]
+    rest = 1.0 - p_pure
+    # the hidden state p sits at the origin, so w0 and w1 weigh a zero vector
+    resid = (
+        abs(w0 + w1 + w2 + w3 - 1.0),
+        abs(w0 + w1 - p_pure),
+        abs(w2 + w3 - rest),
+        math.hypot(w2 * s2x + w3 * s3x - rest * zx, w2 * s2y + w3 * s3y - rest * zy),
+        math.hypot(w2 * s2x - q_plus * ax, w2 * s2y - q_plus * ay),
+        math.hypot(w3 * s3x - q_minus * mx, w3 * s3y - q_minus * my),
+        max(0.0, -min(w0, w1, w2, w3)),
+    )
     return TriangleSearchResult(
-        index=int(index),
-        s2=s2,
-        s3=s3,
-        eps_plus1=float(eps_p1),
-        eps_minus1=float(eps_m1),
-        eps_minus0=float(eps0),
-        weights=weights,
-        max_residual=float(max(resid)),
+        index=-1,
+        s2=np.array([s2x, s2y]),
+        s3=np.array([s3x, s3y]),
+        eps_plus1=eps_p1,
+        eps_minus1=eps_m1,
+        eps_minus0=eps0,
+        weights=np.array([w0, w1, w2, w3]),
+        max_residual=max(resid),
     )

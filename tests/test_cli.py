@@ -463,6 +463,20 @@ def test_oracle_compare_small_run(capsys):
     assert payload["max_reconstruction_residual"] < 1e-8
 
 
+def test_oracle_compare_ignores_grid(capsys):
+    # the model search is exact, so --grid still parses and is echoed but
+    # changes nothing else in the payload
+    payloads = []
+    for grid in ("2", "2000"):
+        code, out, _err = _run(capsys, ["oracle-compare", "--n", "25", "--seed", "7", "--grid", grid])
+        assert code == 0
+        payloads.append(json.loads(out))
+    coarse, fine = payloads
+    assert (coarse.pop("grid"), fine.pop("grid")) == (2, 2000)
+    assert coarse == fine
+    assert coarse["n_unsteerable"] > 0
+
+
 def _grid_rows(out, names):
     return [tuple(float(row[name]) for name in names) for row in csv.DictReader(io.StringIO(out))]
 

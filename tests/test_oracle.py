@@ -10,6 +10,7 @@ from steerell import (
     NoPureState,
     assemblage_from_geometry,
     assemblage_from_state,
+    kernels,
     pure_state_probability,
     sampling,
     steerable_in_plane,
@@ -111,7 +112,7 @@ def test_search_finds_model_exactly_when_unsteerable(seed):
     if asm is None:
         return
     verdict = triangle_criterion(asm)
-    result = triangle_search(asm, grid=2000)
+    result = triangle_search(asm)
     if verdict.steerable:
         assert result is None
     else:
@@ -125,20 +126,29 @@ def test_search_finds_model_exactly_when_unsteerable(seed):
             assert centre_dist <= asm.radius + 1e-9
 
 
-def test_exact_fallback_handles_coarse_grid():
-    # with only the two endpoint candidates the sweep misses the admissible
-    # window; the interval fallback still produces a machine-precision model
-    asm = _geometry_assemblage(0)
-    assert asm is not None
-    assert not triangle_criterion(asm).steerable
-    coarse = triangle_search(asm, grid=2)
-    assert coarse is not None
-    assert coarse.index == -1
-    assert coarse.max_residual < 1e-12
-    fine = triangle_search(asm, grid=2000)
-    assert fine is not None
-    assert fine.index >= 0
-    assert fine.max_residual < 1e-12
+@given(seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_exact_search_finds_a_model_wherever_the_sweep_does(seed):
+    # the 2,000-point grid sweep is the reference: the exact interval search
+    # must find a model wherever a grid point admits one, and none exactly
+    # where the triangle criterion claims steering
+    from_state = _state_assemblage(seed)
+    for asm in (_geometry_assemblage(seed), from_state[0] if from_state else None):
+        if asm is None:
+            continue
+        try:
+            steerable = triangle_criterion(asm).steerable
+        except CollinearSteeredStates:
+            continue
+        c1 = _lift_to_circle(asm.s_plus1, asm.radius)
+        c2 = _lift_to_circle(asm.s_minus1, asm.radius)
+        found, *_ = kernels.triangle_sweep(asm.s_plus1, c1, asm.s_minus1, c2, asm.s_minus0, 2000)
+        result = triangle_search(asm)
+        assert (result is None) == steerable
+        if found:
+            assert result is not None
+        if result is not None:
+            assert result.max_residual < 1e-10
 
 
 def test_x_geometry_steerable_for_all_chords():
@@ -147,7 +157,7 @@ def test_x_geometry_steerable_for_all_chords():
         for chord_angle in (0.3, 1.0, 1.8, 2.6):
             asm = assemblage_from_geometry(ell, p, b, plane_angle, chord_angle)
             assert triangle_criterion(asm).steerable
-            assert triangle_search(asm, grid=500) is None
+            assert triangle_search(asm) is None
 
 
 def test_measuring_along_contact_axis_rejected():
