@@ -358,7 +358,8 @@ def cmd_oracle_compare(args):
                 continue
             if not (0.02 < cand.probs1[0] < 0.98):
                 continue
-            if np.linalg.norm(cand.s_plus1 - cand.s_minus1) < 0.05:
+            (x0, y0), (x1, y1) = cand.s_plus1.tolist(), cand.s_minus1.tolist()
+            if math.hypot(x0 - x1, y0 - y1) < 0.05:
                 continue
             asm = cand
             break

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateEllipsoid, NotOnSurface, TangentPlane, EmptySection
-from .paulicore import TwoQubitState
+from .paulicore import TwoQubitState, finite_vec3
 from .tolerances import TOL_GEOM, TOL_SECULAR_GAP, TOL_TAU
 
 # status constants for TangencyReport
@@ -314,24 +313,36 @@ class PlaneSection:
 
     def to_plane(self, x) -> np.ndarray:
         """Project a 3d point into (u, v) coordinates (assumes it lies on the plane)."""
-        d = np.asarray(x, dtype=float) - self.point
-        return np.array([d @ self.u_axis, d @ self.v_axis])
+        (x0, x1, x2), (p0, p1, p2) = np.asarray(x, dtype=float).tolist(), self.point.tolist()
+        d = (x0 - p0, x1 - p1, x2 - p2)
+        return np.array([_dot3(d, self.u_axis.tolist()), _dot3(d, self.v_axis.tolist())])
 
     def from_plane(self, uv) -> np.ndarray:
         u, v = float(uv[0]), float(uv[1])
         return self.point + u * self.u_axis + v * self.v_axis
 
 
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _mat3_vec(m, x):
+    return [_dot3(row, x) for row in m]
+
+
 def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> np.ndarray:
     """Raise NotOnSurface unless p lies on the unit sphere and on the ellipsoid
-    surface; return the inverse shape matrix it tested p against."""
-    if abs(np.linalg.norm(p) - 1.0) > 1e-6:
-        raise NotOnSurface(f"point is not on the unit sphere (|p| = {np.linalg.norm(p):.9f})")
+    surface; return the inverse shape matrix it tested p against. Both checks
+    run on Python floats, and a NaN coordinate fails them."""
+    (x0, x1, x2), (c0, c1, c2) = np.asarray(p, dtype=float).tolist(), ell.centre.tolist()
+    norm = math.hypot(x0, x1, x2)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise NotOnSurface(f"point is not on the unit sphere (|p| = {norm:.9f})")
     minv = ell.inverse_shape_matrix()
     # ell.surface_value(p), on the matrix already built
-    d = p - ell.centre
-    value = float(d @ minv @ d - 1.0)
-    if abs(value) > 1e-6:
+    d = (x0 - c0, x1 - c1, x2 - c2)
+    value = _dot3(d, _mat3_vec(minv.tolist(), d)) - 1.0
+    if not abs(value) <= 1e-6:
         raise NotOnSurface(f"point is not on the ellipsoid surface (value {value:.3e})")
     return minv
 
@@ -342,58 +353,74 @@ def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
     `point` must be the sphere contact point (on the unit sphere and on the
     ellipsoid surface); only there is the section ellipse tangent to the
     v axis, which the downstream conic normal forms assume.
+
+    Runs on Python floats. With A the 2x2 restriction of W^-1 to the (u, v)
+    frame and l that of its gradient at p, the section ellipse has
+    rho = l^t A^-1 l (by the adjugate) and semiaxes sqrt(rho / lambda) over
+    the eigenvalues lambda = mid -+ hypot((a_uu - a_vv)/2, a_uv) of A; the
+    major axis, along the smaller eigenvalue, makes the angle
+    delta = atan2(-2 a_uv, a_vv - a_uu) / 2 with +u.
     """
+    p = finite_vec3(point, "point")
+    nrm = finite_vec3(normal, "normal")
     if ell.zero_volume:
         raise DegenerateEllipsoid("section undefined for zero-volume ellipsoid")
-    p = np.asarray(point, dtype=float)
-    nrm = np.asarray(normal, dtype=float)
-    nn = np.linalg.norm(nrm)
+    nn = math.hypot(*nrm)
     if nn <= TOL_GEOM:
         raise ValueError("normal must be a nonzero vector")
-    nrm = nrm / nn
-    minv = check_on_both_surfaces(ell, p)
+    nrm = [x / nn for x in nrm]
+    point_arr = np.array(p)
+    minv = check_on_both_surfaces(ell, point_arr).tolist()
 
-    d = float(nrm @ p)
+    d = _dot3(nrm, p)
     r2 = 1.0 - d * d
-    radius = np.sqrt(max(r2, 0.0))
+    radius = math.sqrt(max(r2, 0.0))
     if radius <= TOL_GEOM:
         raise TangentPlane("plane is the common tangent plane at the contact point")
-    u_axis = (d * nrm - p) / radius
-    v_axis = kernels.cross3(nrm, u_axis)
+    u_axis = [(d * ni - pi) / radius for ni, pi in zip(nrm, p)]
+    (n0, n1, n2), (u0, u1, u2) = nrm, u_axis
+    v_axis = [n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0]
 
-    grad = minv @ (p - ell.centre)
-    a_uu = u_axis @ minv @ u_axis
-    a_uv = u_axis @ minv @ v_axis
-    a_vv = v_axis @ minv @ v_axis
-    l_u = u_axis @ grad
-    l_v = v_axis @ grad
-    if abs(l_v) > 1e-6 * np.hypot(l_u, l_v):
+    grad = _mat3_vec(minv, [pi - ci for pi, ci in zip(p, ell.centre.tolist())])
+    minv_v = _mat3_vec(minv, v_axis)
+    a_uu = _dot3(u_axis, _mat3_vec(minv, u_axis))
+    a_uv = _dot3(u_axis, minv_v)
+    a_vv = _dot3(v_axis, minv_v)
+    l_u = _dot3(u_axis, grad)
+    l_v = _dot3(v_axis, grad)
+    if abs(l_v) > 1e-6 * math.hypot(l_u, l_v):
         raise NotOnSurface("section is not tangent to the v axis; point must be the contact point")
 
-    a2 = np.array([[a_uu, a_uv], [a_uv, a_vv]])
-    lvec = np.array([l_u, l_v])
-    rho = float(lvec @ np.linalg.solve(a2, lvec))
+    mid = 0.5 * (a_uu + a_vv)
+    half_gap = math.hypot(0.5 * (a_uu - a_vv), a_uv)
+    lam_small, lam_big = mid - half_gap, mid + half_gap
+    det = a_uu * a_vv - a_uv * a_uv
+    # W^-1 is positive definite, so A is too: det and both eigenvalues are
+    # positive. Rounding could take them to zero or below only on an
+    # ellipsoid too thin for doubles; that raises a SteerellError here, not
+    # ZeroDivisionError or a math domain error below.
+    if not (det > 0.0 and lam_small > 0.0):
+        raise DegenerateEllipsoid("ellipsoid too thin to section in this plane")
+    rho = (a_vv * l_u * l_u - 2.0 * a_uv * l_u * l_v + a_uu * l_v * l_v) / det
     if rho <= TOL_GEOM * TOL_GEOM:
         raise EmptySection("section ellipse collapses to the contact point")
-    lam, vec = np.linalg.eigh(a2)
-    m_semi = float(np.sqrt(rho / lam[0]))
-    n_semi = float(np.sqrt(rho / lam[1]))
+    m_semi = math.sqrt(rho / lam_small)
+    n_semi = math.sqrt(rho / lam_big)
     if m_semi - n_semi <= 1e-12 * m_semi:
         delta = 0.0
     else:
-        delta = float(np.arctan2(vec[1, 0], vec[0, 0]))
-        if delta <= -np.pi / 2.0:
-            delta += np.pi
-        elif delta > np.pi / 2.0:
-            delta -= np.pi
+        delta = 0.5 * math.atan2(-2.0 * a_uv, a_vv - a_uu)
+        # atan2(-0.0, x < 0) is -pi; the range is (-pi/2, pi/2]
+        if delta <= -math.pi / 2.0:
+            delta += math.pi
     return PlaneSection(
-        point=p,
-        normal=nrm,
-        u_axis=u_axis,
-        v_axis=v_axis,
-        R=float(radius),
+        point=point_arr,
+        normal=np.array(nrm),
+        u_axis=np.array(u_axis),
+        v_axis=np.array(v_axis),
+        R=radius,
         m=m_semi,
         n=n_semi,
         delta=delta,
-        degenerate=bool(n_semi <= TOL_GEOM),
+        degenerate=n_semi <= TOL_GEOM,
     )

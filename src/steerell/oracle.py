@@ -15,9 +15,17 @@ the triangle spanned by p and the two circle points. This module implements
 that membership test directly and, separately, an exact interval search for
 an explicit model with full bookkeeping, without touching the conic machinery
 used by the criteria module.
+
+The path from a state to a verdict and a model (the steered ensembles,
+`assemblage_from_state`, `triangle_criterion`, `triangle_search`) works on
+Python floats: numpy's per-call cost on 2- and 3-vectors is many times the
+arithmetic. Result arrays are built once, at the end of each step. The circle
+lifts of the second measurement's states are computed once per assemblage
+and shared by the membership test and the model search.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +73,13 @@ class Assemblage:
     def radius(self) -> float:
         return self.section.R
 
+    @functools.cached_property
+    def _lifts(self):
+        """Circle lifts (c1, c2) of s_plus1 and s_minus1 as float pairs,
+        shared by `triangle_criterion` and `triangle_search`."""
+        r = self.section.R
+        return _lift_to_circle(self.s_plus1.tolist(), r), _lift_to_circle(self.s_minus1.tolist(), r)
+
 
 @dataclass(frozen=True)
 class OracleVerdict:
@@ -108,10 +123,10 @@ def assemblage_from_state(
     if report.status != SINGLE_TANGENT or report.axis is None:
         raise NoPureState(f"no single contact point (tangency status {report.status})")
     ens0 = steered_ensemble(state, report.axis)
-    p = ens0.points[0]
-    if abs(np.linalg.norm(p) - 1.0) > 1e-6:
+    p = ens0.points[0].tolist()
+    if abs(math.hypot(*p) - 1.0) > 1e-6:
         raise NoPureState("contact-axis outcome is not pure")
-    ens1 = steered_ensemble(state, np.asarray(axis1, dtype=float))
+    ens1 = steered_ensemble(state, axis1)
     return _assemble(ell, p, state.b, ens0.probabilities[0], ens0.points[1],
                      ens1.probabilities, ens1.points[0], ens1.points[1])
 
@@ -204,11 +219,16 @@ def _section_conic(section: PlaneSection) -> np.ndarray:
 
 
 def _assemble(ell, p, b, prob_pure, s_minus0_3d, probs1, s_plus1_3d, s_minus1_3d):
-    normal = kernels.cross3(s_plus1_3d - p, s_minus1_3d - p)
-    scale = max(np.linalg.norm(s_plus1_3d - p), np.linalg.norm(s_minus1_3d - p))
-    if np.linalg.norm(normal) < 1e-10 * max(scale * scale, 1e-12):
+    (p0, p1, p2), (x0, x1, x2), (y0, y1, y2) = p, s_plus1_3d.tolist(), s_minus1_3d.tolist()
+    dx0, dx1, dx2 = x0 - p0, x1 - p1, x2 - p2
+    dy0, dy1, dy2 = y0 - p0, y1 - p1, y2 - p2
+    normal = (dx1 * dy2 - dx2 * dy1, dx2 * dy0 - dx0 * dy2, dx0 * dy1 - dx1 * dy0)
+    scale = max(math.hypot(dx0, dx1, dx2), math.hypot(dy0, dy1, dy2))
+    nn = math.hypot(*normal)
+    # the guard keeps nn >= 1e-22, so the division below is safe
+    if nn < 1e-10 * max(scale * scale, 1e-12):
         raise CollinearSteeredStates("second measurement steers along the pb line")
-    section = plane_section(ell, p, normal / np.linalg.norm(normal))
+    section = plane_section(ell, p, [c / nn for c in normal])
     return Assemblage(
         section=section,
         b_local=section.to_plane(b),
@@ -220,13 +240,16 @@ def _assemble(ell, p, b, prob_pure, s_minus0_3d, probs1, s_plus1_3d, s_minus1_3d
     )
 
 
-def _lift_to_circle(point: np.ndarray, radius: float) -> np.ndarray:
+def _lift_to_circle(point, radius: float):
     """Second intersection of the ray from the origin through `point` with the
-    circle of radius `radius` centred at (radius, 0)."""
-    norm2 = point @ point
-    if point[0] <= TRIANGLE_TOL * radius or norm2 <= (TRIANGLE_TOL * radius) ** 2:
+    circle of radius `radius` centred at (radius, 0), as a float pair."""
+    x, y = float(point[0]), float(point[1])
+    norm2 = x * x + y * y
+    # the guard keeps norm2 > (TRIANGLE_TOL R)^2 > 0
+    if x <= TRIANGLE_TOL * radius or norm2 <= (TRIANGLE_TOL * radius) ** 2:
         raise CollinearSteeredStates("steered state coincides with the pure state")
-    return (2.0 * radius * point[0] / norm2) * point
+    s = 2.0 * radius * x / norm2
+    return s * x, s * y
 
 
 def triangle_criterion(asm: Assemblage) -> OracleVerdict:
@@ -235,25 +258,26 @@ def triangle_criterion(asm: Assemblage) -> OracleVerdict:
     states. Boundary contact within TRIANGLE_TOL (relative to R^2) counts as
     inside, so the oracle only claims steering with clearance."""
     r = asm.radius
-    c1 = _lift_to_circle(asm.s_plus1, r)
-    c2 = _lift_to_circle(asm.s_minus1, r)
-    x = asm.s_minus0
-
-    def cross(a, bb):
-        return a[0] * bb[1] - a[1] * bb[0]
-
-    orient = cross(c1, c2)
+    (c1x, c1y), (c2x, c2y) = asm._lifts
+    xx, xy = asm.s_minus0.tolist()
+    orient = c1x * c2y - c1y * c2x
     scale = r * r
     if abs(orient) <= TRIANGLE_TOL * scale:
         raise CollinearSteeredStates("degenerate triangle (collinear chord)")
     sgn = 1.0 if orient > 0 else -1.0
+    # orient != 0, so c1, c2 and c2 - c1 are all nonzero
     edges = (
-        cross(c1, x) * sgn / np.linalg.norm(c1),
-        cross(c2 - c1, x - c1) * sgn / np.linalg.norm(c2 - c1),
-        cross(-c2, x - c2) * sgn / np.linalg.norm(c2),
+        (c1x * xy - c1y * xx) * sgn / math.hypot(c1x, c1y),
+        ((c2x - c1x) * (xy - c1y) - (c2y - c1y) * (xx - c1x)) * sgn / math.hypot(c2x - c1x, c2y - c1y),
+        (-c2x * (xy - c2y) + c2y * (xx - c2x)) * sgn / math.hypot(c2x, c2y),
     )
-    depth = float(min(edges))
-    return OracleVerdict(steerable=depth < -TRIANGLE_TOL * scale, depth=depth, c1=c1, c2=c2)
+    depth = min(edges)
+    return OracleVerdict(
+        steerable=depth < -TRIANGLE_TOL * scale,
+        depth=depth,
+        c1=np.array([c1x, c1y]),
+        c2=np.array([c2x, c2y]),
+    )
 
 
 def _exact_feasible_lam2(sp1, c1, sm1, c2, sm0):
@@ -315,9 +339,7 @@ def triangle_search(asm: Assemblage) -> TriangleSearchResult | None:
     the assemblage is re-checked; the worst violation is reported as
     `max_residual`. Returns None when no model exists (the steerable case).
     """
-    r = asm.radius
-    c1 = _lift_to_circle(asm.s_plus1, r).tolist()
-    c2 = _lift_to_circle(asm.s_minus1, r).tolist()
+    c1, c2 = asm._lifts
     (ax, ay), (mx, my), (zx, zy) = (v.tolist() for v in (asm.s_plus1, asm.s_minus1, asm.s_minus0))
     exact = _exact_feasible_lam2((ax, ay), c1, (mx, my), c2, (zx, zy))
     if exact is None:

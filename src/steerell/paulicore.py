@@ -10,6 +10,7 @@ The computational basis order is |00>, |01>, |10>, |11> (Alice first).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,15 @@ def _require_finite(x, name):
         raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
 
 
+def finite_vec3(x, name):
+    """x as a list of three Python floats; ValueError unless x is a finite
+    3-vector. On floats NaN passes every `<=` guard, so callers check first."""
+    v = _as_vec3(x, name).tolist()
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
+    return v
+
+
 def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
     """Build a state from Pauli data, rejecting non-physical input.
 
@@ -144,22 +154,28 @@ def steered_ensemble(state: TwoQubitState, axis) -> SteeredEnsemble:
     """Bob's steered ensemble for Alice's projective measurement along a unit axis.
 
     For outcome r in {+1, -1} the probability is (1 + r axis.a)/2 and the
-    steered Bloch vector is (b + r T^t axis)/(1 + r axis.a).
+    steered Bloch vector is (b + r T^t axis)/(1 + r axis.a). Computed on
+    Python floats; the arrays are built once, at the end.
     """
-    n = _as_vec3(axis, "axis")
-    norm = np.linalg.norm(n)
+    n = finite_vec3(axis, "axis")
+    norm = math.hypot(*n)
     if norm <= TOL_PROB:
         raise ValueError("measurement axis must be a nonzero vector")
-    n = n / norm
-    probs = np.empty(2)
-    points = np.empty((2, 3))
-    for idx, r in enumerate((1.0, -1.0)):
-        w = 1.0 + r * (n @ state.a)
+    n0, n1, n2 = (x / norm for x in n)
+    (a0, a1, a2), b = state.a.tolist(), state.b.tolist()
+    t0, t1, t2 = state.T.tolist()
+    na = n0 * a0 + n1 * a1 + n2 * a2
+    # T^t n
+    tn = [n0 * x + n1 * y + n2 * z for x, y, z in zip(t0, t1, t2)]
+    probs = []
+    points = []
+    for r in (1.0, -1.0):
+        w = 1.0 + r * na
         if w <= TOL_PROB:
             raise DegenerateOutcome(f"outcome {int(r):+d} along axis has probability {w / 2.0:.3e}")
-        probs[idx] = w / 2.0
-        points[idx] = (state.b + r * (state.T.T @ n)) / w
-    return SteeredEnsemble(axis=n, probabilities=probs, points=points)
+        probs.append(w / 2.0)
+        points.append([(bj + r * tj) / w for bj, tj in zip(b, tn)])
+    return SteeredEnsemble(axis=np.array([n0, n1, n2]), probabilities=np.array(probs), points=np.array(points))
 
 
 def canonical_form(state: TwoQubitState) -> TwoQubitState:

@@ -17,6 +17,7 @@ infinity maps E onto C; its only free column is (alpha, beta, gamma) =
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,20 @@ def circle_conic(radius: float) -> np.ndarray:
 
 
 def _ellipse_invariants(m: float, n: float, delta: float):
+    """(mu, nu, xi, g) of the tangent ellipse (m, n, delta), on Python floats."""
     m2, n2 = m * m, n * n
-    g2 = m2 + n2 + (m2 - n2) * np.cos(2.0 * delta)
-    g = np.sqrt(g2)
-    mu = (m2 - n2) * np.cos(2.0 * delta) / g2
-    nu = (m2 - n2) * np.sin(2.0 * delta) / g2
-    xi = 2.0 * np.sqrt(2.0) * m2 * n2 / (g2 * g)
+    cd, sd = math.cos(delta), math.sin(delta)
+    # g^2 = m^2 + n^2 + (m^2 - n^2) cos 2 delta, written without the
+    # cancellation that rounds it to zero when n << m and delta = pi/2
+    g2 = 2.0 * (m2 * cd * cd + n2 * sd * sd)
+    g = math.sqrt(g2)
+    # g2 >= 2 min(m, n)^2 is positive for the positive semiaxes the callers
+    # require; only semiaxes below about 1e-100 underflow it
+    if not g2 * g > 0.0:
+        raise ValueError("semiaxes too small for the ellipse invariants")
+    mu = (m2 - n2) * math.cos(2.0 * delta) / g2
+    nu = (m2 - n2) * math.sin(2.0 * delta) / g2
+    xi = 2.0 * math.sqrt(2.0) * m2 * n2 / (g2 * g)
     return mu, nu, xi, g
 
 

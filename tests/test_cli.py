@@ -477,6 +477,43 @@ def test_oracle_compare_ignores_grid(capsys):
     assert coarse["n_unsteerable"] > 0
 
 
+
+# oracle-compare --n 30 counts (n_within_band, n_compared, n_agree,
+# n_unsteerable, n_models_missing) for seeds 0-19, recorded from the numpy
+# implementation of the per-sample chain; the float one must reproduce them
+ORACLE_COUNTS = {
+    0: (0, 30, 30, 21, 0),
+    1: (0, 30, 30, 21, 0),
+    2: (0, 30, 30, 18, 0),
+    3: (0, 30, 30, 21, 0),
+    4: (0, 30, 30, 21, 0),
+    5: (0, 30, 30, 21, 0),
+    6: (0, 30, 30, 23, 0),
+    7: (0, 30, 30, 24, 0),
+    8: (0, 30, 30, 24, 0),
+    9: (0, 30, 30, 26, 0),
+    10: (0, 30, 30, 22, 0),
+    11: (0, 30, 30, 22, 0),
+    12: (0, 30, 30, 22, 0),
+    13: (0, 30, 30, 25, 0),
+    14: (0, 30, 30, 21, 0),
+    15: (0, 30, 30, 25, 0),
+    16: (0, 30, 30, 21, 0),
+    17: (0, 30, 30, 19, 0),
+    18: (0, 30, 30, 27, 0),
+    19: (0, 30, 30, 18, 0),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_COUNTS))
+def test_oracle_compare_counts_are_pinned(capsys, seed):
+    code, out, _err = _run(capsys, ["oracle-compare", "--n", "30", "--seed", str(seed)])
+    assert code == 0
+    payload = json.loads(out)
+    names = ("n_within_band", "n_compared", "n_agree", "n_unsteerable", "n_models_missing")
+    assert tuple(payload[k] for k in names) == ORACLE_COUNTS[seed]
+    assert payload["max_reconstruction_residual"] <= 1e-8
+
 def _grid_rows(out, names):
     return [tuple(float(row[name]) for name in names) for row in csv.DictReader(io.StringIO(out))]
 

@@ -435,3 +435,98 @@ def test_section_parameters_reproduce_boundary(seed):
         uv = ellipse_point(section.m, section.n, section.delta, t)
         x = section.from_plane(uv)
         assert abs(ell.surface_value(x)) < 1e-8
+
+
+def _numpy_section(ell, p, normal):
+    """(R, m, n, delta, u, v) of the section by numpy's 2x2 `solve` and `eigh`:
+    the reference `plane_section` is held to."""
+    nrm = np.asarray(normal, dtype=float)
+    nrm = nrm / np.linalg.norm(nrm)
+    minv = ell.inverse_shape_matrix()
+    d = float(nrm @ p)
+    radius = np.sqrt(max(1.0 - d * d, 0.0))
+    u_axis = (d * nrm - p) / radius
+    v_axis = np.cross(nrm, u_axis)
+    grad = minv @ (p - ell.centre)
+    a2 = np.array([[u_axis @ minv @ u_axis, u_axis @ minv @ v_axis], [u_axis @ minv @ v_axis, v_axis @ minv @ v_axis]])
+    lvec = np.array([u_axis @ grad, v_axis @ grad])
+    rho = float(lvec @ np.linalg.solve(a2, lvec))
+    lam, vec = np.linalg.eigh(a2)
+    delta = float(np.arctan2(vec[1, 0], vec[0, 0]))
+    return radius, np.sqrt(rho / lam[0]), np.sqrt(rho / lam[1]), delta, u_axis, v_axis
+
+
+def _reference_sections():
+    """Seeded sections of random tangent ellipsoids and of the ellipsoids of
+    random tangent states, away from the tangent plane."""
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            ell, p = sampling.random_tangent_ellipsoid(rng)
+        else:
+            _state, ell, report = sampling.random_tangent_state(rng)
+            p = report.point
+        normal = sampling.random_unit_vector(rng)
+        if abs(normal @ p) < 0.95:
+            yield ell, p, normal
+
+
+def test_float_plane_section_matches_numpy_reference():
+    checked = tilted = 0
+    for ell, p, normal in _reference_sections():
+        section = plane_section(ell, p, normal)
+        radius, m, n, delta, u_axis, v_axis = _numpy_section(ell, p, normal)
+        assert section.R == pytest.approx(radius, abs=1e-12)
+        assert section.m == pytest.approx(m, abs=1e-12)
+        assert section.n == pytest.approx(n, abs=1e-12)
+        npt.assert_allclose(section.u_axis, u_axis, atol=1e-12)
+        npt.assert_allclose(section.v_axis, v_axis, atol=1e-12)
+        assert -np.pi / 2 < section.delta <= np.pi / 2
+        if m - n > 1e-6 * m:
+            # the major axis is a line: compare angles mod pi
+            gap = (section.delta - delta) % np.pi
+            assert min(gap, np.pi - gap) < 1e-9
+            tilted += 1
+        checked += 1
+    assert checked >= 100 and tilted >= 100
+
+
+def test_float_plane_section_delta_range_on_axis_aligned_sections():
+    # a_uv = 0 with the major axis along v: atan2(-0.0, x < 0) is -pi, and
+    # delta must still land in (-pi/2, pi/2]
+    ell, _b, p = families.spheroid_geometry(0.5, 0.6)
+    section = plane_section(ell, p, np.array([1.0, 0.0, 0.0]))
+    assert section.m == pytest.approx(0.6, abs=1e-9)
+    assert section.n == pytest.approx(0.5, abs=1e-9)
+    assert section.delta == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_plane_section_rejects_non_finite_input(bad):
+    ell, _b, p = families.spheroid_geometry(0.5, 0.4)
+    with pytest.raises(ValueError, match="normal has non-finite entries"):
+        plane_section(ell, p, [bad, 1.0, 0.0])
+    with pytest.raises(ValueError, match="point has non-finite entries"):
+        plane_section(ell, [0.0, bad, 1.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_steered_ensemble_rejects_non_finite_axis(bad):
+    state = state_from_pauli([0, 0, 0.1], [0, 0, 0.4], np.diag([0.5, -0.5, 0.7]))
+    for axis in ([bad, 0.0, 0.0], [0.0, 1.0, bad]):
+        with pytest.raises(ValueError, match="axis has non-finite entries"):
+            steered_ensemble(state, axis)
+
+
+def test_float_steered_ensemble_matches_the_formula():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        state = sampling.random_state(rng)
+        axis = rng.standard_normal(3) * rng.uniform(0.1, 10.0)
+        ens = steered_ensemble(state, axis)
+        n = axis / np.linalg.norm(axis)
+        npt.assert_allclose(ens.axis, n, atol=1e-15)
+        for idx, r in enumerate((1.0, -1.0)):
+            w = 1.0 + r * (n @ state.a)
+            assert ens.probabilities[idx] == pytest.approx(w / 2.0, abs=1e-15)
+            npt.assert_allclose(ens.points[idx], (state.b + r * state.T.T @ n) / w, atol=1e-13)

@@ -150,3 +150,20 @@ def test_sphere_section_shrinks_to_inner_circle():
     expect = circle_conic(sphere_inner_radius(r) * section.R)
     for conic in (inner, outer):
         assert np.linalg.norm(normalize_conic(conic) - normalize_conic(expect)) < 1e-8
+
+
+def test_invariants_of_a_thin_ellipse_along_the_v_axis():
+    # m^2 + n^2 + (m^2 - n^2) cos 2 delta rounds to 0 at delta = pi/2 when
+    # n << m; the ellipse ((u - n)/n)^2 + (v/m)^2 = 1 has the conic
+    # (m/n)^2 u^2 - 2 (m^2/n) u + v^2 = 0, up to the uv term that the rounding
+    # of pi/2 leaves
+    m, n = 0.5, 2e-9
+    conic = tangent_ellipse_conic(m, n, np.pi / 2)
+    assert conic[0, 0] == pytest.approx(1.0 + (m / n) ** 2, rel=1e-9)
+    assert conic[0, 2] == pytest.approx(-m * m / n, rel=1e-9)
+    assert abs(conic[0, 1]) <= 1e-12 * conic[0, 0]
+
+
+def test_invariants_reject_vanishing_semiaxes():
+    with pytest.raises(ValueError, match="semiaxes too small"):
+        ellipse_point(0.0, 0.0, 0.3, 0.0)
