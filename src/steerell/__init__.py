@@ -21,7 +21,6 @@ from .criteria import (
     p_bounds,
     p_bounds_in_plane,
     pure_state_probability,
-    shrunken_ellipses,
     steerable_in_plane,
 )
 from .ellipsoid import (
@@ -38,7 +37,6 @@ from .ellipsoid import (
     tangency,
 )
 from .errors import (
-    AliceReducedPure,
     AtInfinity,
     BOutsideEllipsoid,
     CollinearSteeredStates,
@@ -88,7 +86,6 @@ from .oracle import (
 from .paulicore import (
     SteeredEnsemble,
     TwoQubitState,
-    canonical_form,
     state_from_density,
     state_from_json_dict,
     state_from_pauli,

@@ -14,6 +14,12 @@ state: per plane the extremal thresholds over chord slopes are attained at
 the two stationary slopes (or at slope 0 and the axis-parallel limit when
 beta = 0), and the global extrema over planes give (p_min, p_max) such that
 p > p_max is sufficient and p > p_min necessary for steerability.
+
+Every verdict and bound here comes from the per-plane formulas of `kernels`:
+one plane's (alpha, beta, gamma) from its ellipse invariants
+(`kernels.ellipse_invariants`), the scans' from the contact-frame reduction.
+The homology of `projective`, the paper's construction, is the tests'
+reference for them; this module does not use it.
 """
 from __future__ import annotations
 
@@ -32,13 +38,11 @@ from .ellipsoid import (
     plane_section,  # noqa: F401  (perfbench/test_perfbench.py reads criteria.plane_section)
 )
 from .errors import (
-    AtInfinity,
     BOutsideEllipsoid,
     DegeneratePlane,
     InvalidReducedState,
     NotOnSurface,
 )
-from .projective import Homology, apply, conic_value, homology, tangent_ellipse_conic
 from .tolerances import BOUNDARY_BAND, TOL_GEOM
 
 ALL_INSIDE = "AllInside"
@@ -48,15 +52,13 @@ ALL_OUTSIDE = "AllOutside"
 
 @dataclass(frozen=True)
 class PlaneVerdict:
-    """Steerability verdict for one section plane."""
+    """Steerability verdict for one section plane; h_local is b's homology
+    image, None where it maps to the line at infinity."""
 
     steerable: bool
     margin: float
     indeterminate: bool
-    b_local: np.ndarray
     h_local: np.ndarray | None
-    section: PlaneSection
-    map: Homology
 
 
 @dataclass(frozen=True)
@@ -118,35 +120,49 @@ class Analysis:
         return _pencil_bounds(*self._frame, self._pass, self.thresholds, self.valid, True)
 
 
+def _finite(x, name):
+    """x as a float array; ValueError naming it unless every entry is finite.
+    NaN fails every comparison, so it would pass the `> TOL_GEOM` guards."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
+    return x
+
+
+def _section_invariants(section: PlaneSection):
+    """(mu, nu, gamma, xi) of a section, from `kernels.ellipse_invariants`:
+    its homology column (alpha, beta, gamma) is (mu, nu, xi) / R."""
+    if section.degenerate:
+        raise DegeneratePlane("section ellipse is collapsed")
+    mu, nu, xi, _ = kernels.ellipse_invariants(section.m, section.n, section.delta)
+    return mu, nu, xi / section.R, xi
+
+
 def steerable_in_plane(section: PlaneSection, b_local) -> PlaneVerdict:
     """Decide steerability of the in-plane reduced point b_local.
 
-    Raises DegeneratePlane for collapsed sections and InvalidReducedState when
-    b_local is not inside the section ellipse.
+    The margin is `kernels.plane_margin` and h_local = (u, v) / den with
+    den = (mu u + nu v) / R + gamma, None where |den| < 1e-12.
+
+    Raises DegeneratePlane for collapsed sections, InvalidReducedState when
+    b_local is not inside the section ellipse and ValueError when it is not
+    finite.
     """
-    if section.degenerate:
-        raise DegeneratePlane("section ellipse is collapsed")
-    b_local = np.asarray(b_local, dtype=float)
-    hom = homology(section.m, section.n, section.delta, section.R, check=False)
-    e_conic = tangent_ellipse_conic(section.m, section.n, section.delta)
-    val = conic_value(e_conic, b_local)
+    ub, vb = _finite(b_local, "b_local").tolist()
+    mu, nu, ga, xi = _section_invariants(section)
+    # the ellipse's conic [[1 - 2 mu, -nu, -xi], [-nu, 1, 0], [-xi, 0, 0]] at b
+    val = (1.0 - 2.0 * mu) * ub * ub - 2.0 * nu * ub * vb + vb * vb - 2.0 * xi * ub
     if val > TOL_GEOM:
         raise InvalidReducedState(f"b is outside the section ellipse (conic value {val:.3e})")
-    margin = kernels.plane_margin(
-        hom.R * hom.alpha, hom.R * hom.beta, hom.gamma, hom.R, float(b_local[0]), float(b_local[1])
-    )
-    try:
-        h_local = apply(hom, b_local)
-    except AtInfinity:
-        h_local = None
+    radius = section.R
+    margin = kernels.plane_margin(mu, nu, ga, radius, ub, vb)
+    den = (mu * ub + nu * vb) / radius + ga
+    h_local = None if abs(den) < 1e-12 else np.array([ub / den, vb / den])
     return PlaneVerdict(
         steerable=bool(margin > 0.0),
         margin=float(margin),
         indeterminate=bool(abs(margin) < BOUNDARY_BAND),
-        b_local=b_local,
         h_local=h_local,
-        section=section,
-        map=hom,
     )
 
 
@@ -155,10 +171,11 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
 
     Equals 1 - |p b| / |p q| with q the far intersection of the line p b with
     the ellipsoid surface. Raises NotOnSurface unless p is the contact point
-    (see `_contact_minv`) and BOutsideEllipsoid when b is not inside.
+    (see `_contact_minv`), BOutsideEllipsoid when b is not inside and
+    ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b = _finite(b, "b")
     return _probability(_contact_minv(ell, p), ell.centre, p, b)
 
 
@@ -288,10 +305,10 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusRes
     line at infinity stay NaN.
 
     Raises NotOnSurface unless p is the contact point, InvalidReducedState
-    when b is at p or outside the ellipsoid.
+    when b is at p or outside the ellipsoid, ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b = _finite(b, "b")
     _, q, mp, gp = _contact(ell, p, b)
     return _locus(_pencil_pass(q, mp, gp, p, b, n_planes), p, q)
 
@@ -318,14 +335,15 @@ def classify_margins(margins) -> str:
 
 
 def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
-    """Extremal steerability thresholds over all chord slopes of one plane."""
-    if section.degenerate:
-        raise DegeneratePlane("section ellipse is collapsed")
-    hom = homology(section.m, section.n, section.delta, section.R, check=False)
-    mu, nu = hom.R * hom.alpha, hom.R * hom.beta
-    lo, hi = kernels.plane_bounds(mu, nu, hom.gamma)
+    """Extremal steerability thresholds over all chord slopes of one plane,
+    `kernels.plane_bounds` and `kernels.plane_slopes`; p_min is clamped at 0,
+    as in `p_bounds`. Raises DegeneratePlane for collapsed sections."""
+    mu, nu, ga, _ = _section_invariants(section)
+    lo, hi = kernels.plane_bounds(mu, nu, ga)
     k_min, k_max = kernels.plane_slopes(mu, nu)
-    return PlaneBounds(p_min=float(lo), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max))
+    return PlaneBounds(
+        p_min=float(max(lo, 0.0)), p_max=float(hi), k_at_min=float(k_min), k_at_max=float(k_max)
+    )
 
 
 # Newton polish: central-difference step, floor of the Hessian's
@@ -442,11 +460,11 @@ def p_bounds(
     pencil angle t. The global minimum is clamped at 0.
 
     Raises NotOnSurface unless p is the contact point, InvalidReducedState
-    when b is at p or outside the ellipsoid.
+    when b is at p or outside the ellipsoid, ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
     if b is not None:
-        b = np.asarray(b, dtype=float)
+        b = _finite(b, "b")
     _, q, mp, gp = _contact(ell, p, b)
     if b is None:
         return _full_bounds(q, mp, gp, resolution, refine)
@@ -469,10 +487,11 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
     when b is not inside the ellipsoid (as `pure_state_probability` does),
-    and InvalidReducedState when b is at p, where the pencil is undefined.
+    InvalidReducedState when b is at p, where the pencil is undefined, and
+    ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b = _finite(b, "b")
     minv, q, mp, gp = _contact(ell, p, None)
     p_p = _probability(minv, ell.centre, p, b)
     pencil = _pencil_pass(q, mp, gp, p, b, n_planes)
@@ -572,22 +591,3 @@ def _refined_bounds(mode, scan, chart_point, signed_value, chart_normal, refine)
         argmax_normal=arg_max,
         n_planes=n_planes,
     )
-
-
-def shrunken_ellipses(section: PlaneSection):
-    """Conics of the section ellipse shrunk toward p by its extremal thresholds.
-
-    Returns (inner, outer, bounds): the inner conic scales the ellipse by
-    1 - p_max (reduced points strictly inside it are steerable in the plane),
-    the outer by 1 - p_min (points outside it are not).
-    """
-    bounds = p_bounds_in_plane(section)
-    e_conic = tangent_ellipse_conic(section.m, section.n, section.delta)
-
-    def shrink(factor):
-        f_inv = np.diag([1.0, 1.0, factor])
-        return f_inv.T @ e_conic @ f_inv
-
-    inner = shrink(1.0 - bounds.p_max)
-    outer = shrink(1.0 - bounds.p_min)
-    return inner, outer, bounds

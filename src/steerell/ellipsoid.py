@@ -56,7 +56,7 @@ class SteeringEllipsoid:
         """W^-1 with surface (x - c)^t W^-1 (x - c) = 1."""
         if self.zero_volume:
             raise DegenerateEllipsoid("ellipsoid has zero volume")
-        return self.axes @ np.diag(1.0 / self.semiaxes**2) @ self.axes.T
+        return (self.axes * (1.0 / self.semiaxes**2)) @ self.axes.T
 
     def surface_value(self, x) -> float:
         """(x - c)^t W^-1 (x - c) - 1; zero on the surface, negative inside."""

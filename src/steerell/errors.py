@@ -22,10 +22,6 @@ class DegenerateOutcome(SteerellError):
     """A measurement outcome has vanishing probability, so the steered state is undefined."""
 
 
-class AliceReducedPure(SteerellError):
-    """Alice's reduced state is pure, so the canonical filter does not exist."""
-
-
 class DegenerateEllipsoid(SteerellError):
     """The steering ellipsoid has (numerically) zero volume."""
 

@@ -1,9 +1,16 @@
 """Per-plane formulas and the vectorized kernels built on them.
 
-Each formula has one implementation, written component-wise so that the same
-code takes arrays of planes (the scans) and Python floats (the Newton polish
-that refines the bounds in `criteria.p_bounds`):
+Every steerability verdict and bound comes from these formulas. Each has one
+implementation, written component-wise so that the same code takes arrays of
+planes (the scans) and Python floats (the Newton polish that refines the
+bounds in `criteria.p_bounds`, and the one-plane verdicts of
+`criteria.steerable_in_plane` and `criteria.p_bounds_in_plane`). The
+homology of `projective` is the paper's construction of the same column
+(alpha, beta, gamma); the tests hold these formulas to it.
 
+  ellipse_invariants
+                    (m, n, delta) of a section ellipse -> (mu, nu, xi, g),
+                    with (mu, nu, xi) = R (alpha, beta, gamma)
   contact_frame     rotation Q to the contact-point frame, M' and g' in it
   polar_factors     contact-frame normals (x, y, d) -> (s, c, C, S, valid)
   reduce_planes     polar factors -> (mu, nu, gamma); it is `reduce_terms`
@@ -89,6 +96,28 @@ def _select(cond, a, b):
 
 def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def ellipse_invariants(m, n, delta):
+    """(mu, nu, xi, g) of the ellipse with semiaxes m, n tilted by delta,
+    tangent to the v axis at the origin and opening toward +u, on Python
+    floats: its conic is [[1 - 2 mu, -nu, -xi], [-nu, 1, 0], [-xi, 0, 0]],
+    its centre is at distance g / sqrt(2) along u, and in a section of circle
+    radius R the homology column is (mu, nu, xi) / R."""
+    m2, n2 = m * m, n * n
+    cd, sd = math.cos(delta), math.sin(delta)
+    # g^2 = m^2 + n^2 + (m^2 - n^2) cos 2 delta, written without the
+    # cancellation that rounds it to zero when n << m and delta = pi/2
+    g2 = 2.0 * (m2 * cd * cd + n2 * sd * sd)
+    g = math.sqrt(g2)
+    # g2 >= 2 min(m, n)^2 is positive for the positive semiaxes the callers
+    # require; only semiaxes below about 1e-100 underflow it
+    if not g2 * g > 0.0:
+        raise ValueError("semiaxes too small for the ellipse invariants")
+    mu = (m2 - n2) * math.cos(2.0 * delta) / g2
+    nu = (m2 - n2) * math.sin(2.0 * delta) / g2
+    xi = 2.0 * math.sqrt(2.0) * m2 * n2 / (g2 * g)
+    return mu, nu, xi, g
 
 
 def contact_frame(minv, centre, p):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliceReducedPure, DegenerateOutcome, NonPhysical
-from .tolerances import TOL_GEOM, TOL_PROB, TOL_PSD
+from .errors import DegenerateOutcome, NonPhysical
+from .tolerances import TOL_PROB, TOL_PSD
 
 PAULI = np.array(
     [
@@ -176,24 +176,6 @@ def steered_ensemble(state: TwoQubitState, axis) -> SteeredEnsemble:
         probs.append(w / 2.0)
         points.append([(bj + r * tj) / w for bj, tj in zip(b, tn)])
     return SteeredEnsemble(axis=np.array([n0, n1, n2]), probabilities=np.array(probs), points=np.array(points))
-
-
-def canonical_form(state: TwoQubitState) -> TwoQubitState:
-    """Alice-side filter to the canonical frame (a = 0, b = ellipsoid centre).
-
-    Applies K (x) I with K = (I + a.sigma)^(-1/2), which preserves the steering
-    ellipsoid. Raises AliceReducedPure when Alice's marginal is pure.
-    """
-    gap = state.alice_purity_gap()
-    if gap <= TOL_GEOM:
-        raise AliceReducedPure(f"1 - |a|^2 = {gap:.3e}")
-    two_rho_a = _I2 + sum(state.a[i] * PAULI[i] for i in range(3))
-    w, v = np.linalg.eigh(two_rho_a)
-    k = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    kb = np.kron(k, _I2)
-    rho = kb @ state.density_matrix() @ kb.conj().T
-    rho = rho / np.trace(rho).real
-    return state_from_density(rho)
 
 
 def state_from_json_dict(obj: dict, *, tol: float = TOL_PSD) -> TwoQubitState:

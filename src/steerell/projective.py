@@ -11,13 +11,17 @@ and the ellipsoid cuts an ellipse through the origin tangent to the v axis,
     E = [[1 - 2 mu, -nu, -xi], [-nu, 1, 0], [-xi, 0, 0]],
 
 with mu, nu, xi determined by the ellipse semiaxes (m, n), tilt delta and the
-circle radius R. The planar homology H with centre p and axis the line at
-infinity maps E onto C; its only free column is (alpha, beta, gamma) =
-(mu, nu, xi)/R.
+circle radius R (`kernels.ellipse_invariants`). The planar homology H with
+centre p and axis the line at infinity maps E onto C; its only free column
+is (alpha, beta, gamma) = (mu, nu, xi)/R.
+
+This is the paper's construction, kept as written: the homology, the
+transport of conics through it and the chord construction of h. No verdict
+goes through it. `criteria` decides from the formulas of `kernels` on the
+same invariants, and the tests hold those formulas to this module.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,36 +39,18 @@ def circle_conic(radius: float) -> np.ndarray:
     return np.array([[1.0, 0.0, -r], [0.0, 1.0, 0.0], [-r, 0.0, 0.0]])
 
 
-def _ellipse_invariants(m: float, n: float, delta: float):
-    """(mu, nu, xi, g) of the tangent ellipse (m, n, delta), on Python floats."""
-    m2, n2 = m * m, n * n
-    cd, sd = math.cos(delta), math.sin(delta)
-    # g^2 = m^2 + n^2 + (m^2 - n^2) cos 2 delta, written without the
-    # cancellation that rounds it to zero when n << m and delta = pi/2
-    g2 = 2.0 * (m2 * cd * cd + n2 * sd * sd)
-    g = math.sqrt(g2)
-    # g2 >= 2 min(m, n)^2 is positive for the positive semiaxes the callers
-    # require; only semiaxes below about 1e-100 underflow it
-    if not g2 * g > 0.0:
-        raise ValueError("semiaxes too small for the ellipse invariants")
-    mu = (m2 - n2) * math.cos(2.0 * delta) / g2
-    nu = (m2 - n2) * math.sin(2.0 * delta) / g2
-    xi = 2.0 * math.sqrt(2.0) * m2 * n2 / (g2 * g)
-    return mu, nu, xi, g
-
-
 def tangent_ellipse_conic(m: float, n: float, delta: float) -> np.ndarray:
     """Conic of the ellipse with semiaxes m, n tilted by delta, tangent to the
     v axis at the origin and opening toward +u."""
     if m <= 0 or n <= 0:
         raise ValueError("semiaxes must be positive")
-    mu, nu, xi, _ = _ellipse_invariants(m, n, delta)
+    mu, nu, xi, _ = kernels.ellipse_invariants(m, n, delta)
     return np.array([[1.0 - 2.0 * mu, -nu, -xi], [-nu, 1.0, 0.0], [-xi, 0.0, 0.0]])
 
 
 def ellipse_point(m: float, n: float, delta: float, t: float) -> np.ndarray:
     """Point of that ellipse at parameter angle t."""
-    mu, nu, xi, g = _ellipse_invariants(m, n, delta)
+    mu, nu, xi, g = kernels.ellipse_invariants(m, n, delta)
     uc = g / np.sqrt(2.0)
     vc = (m * m - n * n) * np.sin(2.0 * delta) / (np.sqrt(2.0) * g)
     cd, sd = np.cos(delta), np.sin(delta)
@@ -129,7 +115,7 @@ def homology(m: float, n: float, delta: float, radius: float, *, check: bool = T
         raise ValueError("radius must be positive")
     if m <= 0 or n <= 0:
         raise ValueError("semiaxes must be positive")
-    mu, nu, xi, _ = _ellipse_invariants(m, n, delta)
+    mu, nu, xi, _ = kernels.ellipse_invariants(m, n, delta)
     if check:
         t = np.linspace(0.0, 2.0 * np.pi, 721)
         pts = ellipse_point(m, n, delta, t)
@@ -148,15 +134,6 @@ def apply(h: Homology, pt) -> np.ndarray:
     if abs(den) < 1e-12:
         raise AtInfinity("point maps to the line at infinity")
     return np.array([u, v]) / den
-
-
-def inverse_apply(h: Homology, pt) -> np.ndarray:
-    """Image of an affine point under H^-1 (circle plane to ellipse plane)."""
-    u, v = float(pt[0]), float(pt[1])
-    den = 1.0 - h.alpha * u - h.beta * v
-    if abs(den) < 1e-12:
-        raise AtInfinity("point maps to the line at infinity")
-    return h.gamma * np.array([u, v]) / den
 
 
 def transport(h: Homology, conic: np.ndarray) -> np.ndarray:

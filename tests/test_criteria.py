@@ -1,7 +1,9 @@
 """Per-plane margins, the h locus, probability bounds and their consistency."""
+import ast
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from steerell import (
     plane_section,
     pure_state_probability,
     sampling,
-    shrunken_ellipses,
     spheroid_geometry,
     spheroid_p_bounds,
     steerable_in_plane,
@@ -42,7 +43,9 @@ from steerell import (
     x_locus_endpoint,
     x_state_p_bounds,
 )
-from steerell.projective import conic_value, ellipse_point, tangent_ellipse_conic
+from steerell.errors import AtInfinity, SteerellError
+from steerell.projective import apply, conic_value, ellipse_point, tangent_ellipse_conic
+from steerell.tolerances import TOL_GEOM
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -93,6 +96,151 @@ def test_reduced_point_outside_section_rejected():
     section = plane_section(ell, P_TOP, [1.0, 0.0, 0.0])
     with pytest.raises(InvalidReducedState):
         steerable_in_plane(section, [1.9, 0.0])
+
+
+def _homology_verdict(section, b_local):
+    """(margin, h_local) of b_local by the paper's construction: the section's
+    homology, the conic of its ellipse and the image of b under H. Raises
+    InvalidReducedState where b_local is outside the ellipse."""
+    hom = homology(section.m, section.n, section.delta, section.R, check=False)
+    value = conic_value(tangent_ellipse_conic(section.m, section.n, section.delta), b_local)
+    if value > TOL_GEOM:
+        raise InvalidReducedState(f"conic value {value:.3e}")
+    margin = kernels.plane_margin(
+        hom.R * hom.alpha, hom.R * hom.beta, hom.gamma, hom.R, float(b_local[0]), float(b_local[1])
+    )
+    try:
+        h_local = apply(hom, b_local)
+    except AtInfinity:
+        h_local = None
+    return margin, h_local
+
+
+def _homology_bounds(section):
+    """(p_min, p_max) of `kernels.plane_bounds` on the homology's column."""
+    hom = homology(section.m, section.n, section.delta, section.R, check=False)
+    return kernels.plane_bounds(hom.R * hom.alpha, hom.R * hom.beta, hom.gamma)
+
+
+def _seeded_sections(n_draws):
+    """Sections of seeded `random_tangent_ellipsoid` and `random_tangent_state`
+    ellipsoids through their contact points, three random normals each, with
+    the generator that drew them."""
+    rng = np.random.default_rng(17)
+    for i in range(n_draws):
+        if i % 2:
+            ell, p = sampling.random_tangent_ellipsoid(rng)
+        else:
+            _state, ell, rep = sampling.random_tangent_state(rng)
+            p = rep.point
+        for _ in range(3):
+            try:
+                section = plane_section(ell, p, rng.normal(size=3))
+            except SteerellError:
+                continue
+            if not section.degenerate:
+                yield section, rng
+
+
+def test_in_plane_verdicts_match_the_homology():
+    # the kernels' formulas on the ellipse invariants against the homology
+    # path they replace, inside and outside the ellipse
+    n_inside = n_outside = 0
+    for section, rng in _seeded_sections(120):
+        bounds = p_bounds_in_plane(section)
+        lo, hi = _homology_bounds(section)
+        assert bounds.p_min == pytest.approx(max(lo, 0.0), rel=0, abs=1e-12)
+        assert bounds.p_max == pytest.approx(hi, rel=0, abs=1e-12)
+        for f in (0.05, 0.4, 0.8, 0.97, 1.05, 1.6):
+            b_local = f * ellipse_point(section.m, section.n, section.delta, rng.uniform(0.0, 2.0 * np.pi))
+            if f > 1.0:
+                with pytest.raises(InvalidReducedState):
+                    _homology_verdict(section, b_local)
+                with pytest.raises(InvalidReducedState):
+                    steerable_in_plane(section, b_local)
+                n_outside += 1
+                continue
+            margin, h_local = _homology_verdict(section, b_local)
+            verdict = steerable_in_plane(section, b_local)
+            assert verdict.margin == pytest.approx(margin, rel=0, abs=1e-12)
+            assert (verdict.h_local is None) == (h_local is None)
+            if h_local is not None:
+                np.testing.assert_allclose(verdict.h_local, h_local, rtol=1e-12, atol=1e-12)
+            n_inside += 1
+    assert n_inside >= 1000 and n_outside >= 500
+
+
+def test_plane_bounds_are_never_negative():
+    # the README's section of obese_state(0.5) in the plane y = 0: p_min
+    # rounded to -2.2e-16 before the clamp
+    state = obese_state(0.5)
+    ell = steering_ellipsoid(state)
+    section = plane_section(ell, tangency(ell).point, [0.0, 1.0, 0.0])
+    bounds = p_bounds_in_plane(section)
+    assert bounds.p_min == 0.0
+    assert bounds.p_max == pytest.approx(1.0 / 3.0, rel=0, abs=1e-12)
+
+
+def _spheroid_call(name):
+    """A call of the entry point `name` on the spheroid (0.5, 0.4) with the
+    reduced point b (3-D) or its in-plane point (2-D) as argument."""
+    ell, _b, p = spheroid_geometry(0.5, 0.4)
+    section = plane_section(ell, p, [0.0, 1.0, 0.0])
+    return {
+        "steerable_in_plane": lambda b_local: steerable_in_plane(section, b_local),
+        "pure_state_probability": lambda b: pure_state_probability(ell, p, b),
+        "pencil p_bounds": lambda b: p_bounds(ell, p=p, b=b, resolution=(7, 14)),
+        "locus_of_h": lambda b: locus_of_h(ell, b, n_planes=12, p=p),
+        "classify_locus": lambda b: classify_locus(ell, b, n_planes=12, p=p),
+        "analyze": lambda b: criteria.analyze(ell, b, p=p, n_planes=12),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    ["steerable_in_plane", "pure_state_probability", "pencil p_bounds", "locus_of_h", "classify_locus", "analyze"],
+)
+def test_entry_point_rejects_a_non_finite_b(entry_point):
+    # a NaN passes every `> tol` guard: the in-plane verdict came out
+    # "decided" with margin NaN, the probability NaN, the pencil bounds
+    # (inf, -inf) over 0 planes, and the locus and analyze raised
+    # DegeneratePlane
+    call = _spheroid_call(entry_point)
+    in_plane = entry_point == "steerable_in_plane"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^b_local has non-finite" if in_plane else "^b has non-finite"):
+            call([bad, 0.0] if in_plane else [bad, 0.0, 0.5])
+
+
+def _imports(module):
+    """(module, names) of each `from ... import` in a steerell source file,
+    the module relative to the package."""
+    path = Path(criteria.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                name = name.removeprefix("steerell").lstrip(".")
+            names = [alias.name for alias in node.names]
+            if name == "":  # from . import x
+                for sub in names:
+                    yield sub, ["*"]
+            else:
+                yield name, names
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("steerell."):
+                    yield alias.name.removeprefix("steerell."), ["*"]
+
+
+def test_layering_keeps_the_verdicts_off_the_construction():
+    # criteria decides from the kernels' formulas, not from the homology of
+    # projective; the oracle is the independent check of both, and takes
+    # nothing from either but the pure-state weight
+    assert [m for m, _ in _imports("criteria") if m == "projective"] == []
+    oracle = list(_imports("oracle"))
+    assert [m for m, _ in oracle if m == "projective"] == []
+    assert [names for m, names in oracle if m == "criteria"] == [["pure_state_probability"]]
 
 
 def _bad_contacts():
@@ -316,9 +464,17 @@ def test_shrunken_ellipses_bound_the_margin(seed):
         return
     if section.degenerate:
         return
-    inner, outer, bounds = shrunken_ellipses(section)
+    # the ellipse shrunk toward p by 1 - p_max (points strictly inside it
+    # are steerable) and by 1 - p_min (points outside it are not)
+    bounds = p_bounds_in_plane(section)
     assert bounds.p_min <= bounds.p_max
     e_conic = tangent_ellipse_conic(section.m, section.n, section.delta)
+
+    def shrink(factor):
+        f_inv = np.diag([1.0, 1.0, factor])
+        return f_inv.T @ e_conic @ f_inv
+
+    inner, outer = shrink(1.0 - bounds.p_max), shrink(1.0 - bounds.p_min)
     for psi in np.linspace(0.1, 2 * np.pi, 17):
         edge = ellipse_point(section.m, section.n, section.delta, psi)
         for f in (0.15, 0.5, 0.85):

@@ -17,7 +17,6 @@ from steerell.ellipsoid import (
     tangency,
 )
 from steerell.errors import (
-    AliceReducedPure,
     DegenerateEllipsoid,
     NotOnSurface,
     TangentPlane,

@@ -1,4 +1,4 @@
-"""Pauli-form state handling, steered ensembles and the canonical filter."""
+"""Pauli-form state handling and steered ensembles."""
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerell import sampling
-from steerell.errors import AliceReducedPure, DegenerateOutcome, NonPhysical
+from steerell.errors import DegenerateOutcome, NonPhysical
 from steerell.paulicore import (
     TwoQubitState,
-    canonical_form,
     state_from_density,
     state_from_json_dict,
     state_from_pauli,
@@ -143,33 +142,6 @@ def test_degenerate_outcome_raises():
         steered_ensemble(state, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         steered_ensemble(state, [0.0, 0.0, 0.0])
-
-
-@given(seed=seeds)
-@settings(max_examples=30, deadline=None)
-def test_canonical_form_centres_alice(seed):
-    rng = np.random.default_rng(seed)
-    state = sampling.random_state(rng)
-    canon = canonical_form(state)
-    npt.assert_allclose(canon.a, np.zeros(3), atol=1e-9)
-
-
-def test_canonical_form_preserves_ellipsoid():
-    from steerell.ellipsoid import steering_ellipsoid
-
-    rng = np.random.default_rng(5)
-    state = sampling.random_state(rng)
-    ell = steering_ellipsoid(state)
-    ell_c = steering_ellipsoid(canonical_form(state))
-    npt.assert_allclose(ell_c.centre, ell.centre, atol=1e-9)
-    npt.assert_allclose(ell_c.semiaxes, ell.semiaxes, atol=1e-9)
-    npt.assert_allclose(canonical_form(state).b, ell.centre, atol=1e-9)
-
-
-def test_canonical_form_rejects_pure_alice():
-    rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2).astype(complex)
-    with pytest.raises(AliceReducedPure):
-        canonical_form(state_from_density(rho))
 
 
 def test_json_round_trip_pauli_form():

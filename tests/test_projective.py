@@ -15,7 +15,6 @@ from steerell.projective import (
     conic_value,
     ellipse_point,
     homology,
-    inverse_apply,
     normalize_conic,
     tangent_ellipse_conic,
     transport,
@@ -76,7 +75,9 @@ def test_homology_inverse_round_trip(seed):
     m, n, delta, r = sampling.random_nested_section(rng)
     hom = homology(m, n, delta, r)
     x = _random_interior_point(rng, m, n, delta)
-    npt.assert_allclose(inverse_apply(hom, apply(hom, x)), x, atol=1e-10)
+    # H^-1 takes the image back, in homogeneous coordinates
+    back = hom.inverse_matrix() @ np.append(apply(hom, x), 1.0)
+    npt.assert_allclose(back[:2] / back[2], x, atol=1e-10)
     npt.assert_allclose(hom.inverse_matrix() @ hom.matrix(), np.eye(3), atol=1e-12)
 
 
@@ -134,22 +135,26 @@ def test_chord_construction_matches_direct_map(seed):
 
 def test_sphere_section_shrinks_to_inner_circle():
     # for a sphere of radius r every section threshold is 1 - r, and shrinking
-    # the section by the complementary factor r leaves the in-plane trace of
-    # the inner tangent sphere of radius r^2
+    # the section toward p by the complementary factor r leaves the in-plane
+    # trace of the inner tangent sphere of radius r^2
+    from steerell.criteria import p_bounds_in_plane
     from steerell.ellipsoid import plane_section, steering_ellipsoid
-    from steerell.criteria import shrunken_ellipses
     from steerell.families import sphere_inner_radius, tangent_sphere_state
 
     r = 0.6
     ell = steering_ellipsoid(tangent_sphere_state(r))
     p = np.array([0.0, 0.0, 1.0])
     section = plane_section(ell, p, np.array([np.sin(0.7), 0.0, np.cos(0.7)]))
-    inner, outer, bounds = shrunken_ellipses(section)
+    bounds = p_bounds_in_plane(section)
     assert bounds.p_min == pytest.approx(1 - r, abs=1e-9)
     assert bounds.p_max == pytest.approx(1 - r, abs=1e-9)
+    e_conic = tangent_ellipse_conic(section.m, section.n, section.delta)
     expect = circle_conic(sphere_inner_radius(r) * section.R)
-    for conic in (inner, outer):
-        assert np.linalg.norm(normalize_conic(conic) - normalize_conic(expect)) < 1e-8
+    for bound in (bounds.p_max, bounds.p_min):
+        # the conic of the ellipse scaled by 1 - bound about p
+        f_inv = np.diag([1.0, 1.0, 1.0 - bound])
+        shrunk = f_inv.T @ e_conic @ f_inv
+        assert np.linalg.norm(normalize_conic(shrunk) - normalize_conic(expect)) < 1e-8
 
 
 def test_invariants_of_a_thin_ellipse_along_the_v_axis():
