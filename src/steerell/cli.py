@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 file or argument errors (argparse usage errors
 included), 2 unphysical state, 3 the scenario does not apply (no single
-sphere contact, a zero-volume ellipsoid, a pure Alice marginal, or b at the
-contact point). All output is deterministic for fixed inputs.
+sphere contact, a zero-volume ellipsoid, a pure Alice marginal, b at the
+contact point or outside the ellipsoid, or a `section` plane that does not
+contain b). All output is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import criteria, families, oracle, sampling
 from .ellipsoid import SINGLE_TANGENT, plane_section, steering_ellipsoid, tangency
 from .errors import (
+    BOutsideEllipsoid,
     DegenerateEllipsoid,
     InvalidReducedState,
     NonPhysical,
@@ -37,7 +39,7 @@ from .errors import (
     SteerellError,
 )
 from .paulicore import state_from_json_dict, state_to_json_dict
-from .tolerances import BOUNDARY_BAND
+from .tolerances import BOUNDARY_BAND, TOL_GEOM
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,6 +148,9 @@ def _analyze(state, args, payload):
     b = state.b
     try:
         result = criteria.analyze(ell, b, p=p, n_planes=args.planes)
+    except BOutsideEllipsoid:
+        # no chord p q holds b, so there is no p_p to report
+        raise
     except InvalidReducedState:
         # b at p: the pencil is undefined, but p_p is not and is reported
         payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
@@ -194,6 +199,10 @@ def cmd_section(args):
     if report.status != SINGLE_TANGENT:
         raise NoTangency(f"contact classification is {report.status}")
     section = plane_section(ell, report.point, args.normal)
+    # the plane of a measurement pair holds b; no other plane judges it
+    offset = abs(float(section.normal @ (state.b - section.point)))
+    if offset > TOL_GEOM:
+        raise BOutsideEllipsoid(f"b is not in the plane: it lies {offset:.3e} from it")
     b_local = section.to_plane(state.b)
     verdict = criteria.steerable_in_plane(section, b_local)
     bounds = criteria.p_bounds_in_plane(section)

@@ -36,13 +36,10 @@ from .ellipsoid import (
     SteeringEllipsoid,
     check_on_both_surfaces,
     plane_section,  # noqa: F401  (perfbench/test_perfbench.py reads criteria.plane_section)
+    surface_form,
 )
-from .errors import (
-    BOutsideEllipsoid,
-    DegeneratePlane,
-    InvalidReducedState,
-    NotOnSurface,
-)
+from .errors import BOutsideEllipsoid, DegeneratePlane, InvalidReducedState
+from .paulicore import require_finite
 from .tolerances import BOUNDARY_BAND, TOL_GEOM
 
 ALL_INSIDE = "AllInside"
@@ -120,15 +117,6 @@ class Analysis:
         return _pencil_bounds(*self._frame, self._pass, self.thresholds, self.valid, True)
 
 
-def _finite(x, name):
-    """x as a float array; ValueError naming it unless every entry is finite.
-    NaN fails every comparison, so it would pass the `> TOL_GEOM` guards."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
-    return x
-
-
 def _section_invariants(section: PlaneSection):
     """(mu, nu, gamma, xi) of a section, from `kernels.ellipse_invariants`:
     its homology column (alpha, beta, gamma) is (mu, nu, xi) / R."""
@@ -144,16 +132,16 @@ def steerable_in_plane(section: PlaneSection, b_local) -> PlaneVerdict:
     The margin is `kernels.plane_margin` and h_local = (u, v) / den with
     den = (mu u + nu v) / R + gamma, None where |den| < 1e-12.
 
-    Raises DegeneratePlane for collapsed sections, InvalidReducedState when
+    Raises DegeneratePlane for collapsed sections, BOutsideEllipsoid when
     b_local is not inside the section ellipse and ValueError when it is not
     finite.
     """
-    ub, vb = _finite(b_local, "b_local").tolist()
+    ub, vb = require_finite(np.asarray(b_local, dtype=float), "b_local").tolist()
     mu, nu, ga, xi = _section_invariants(section)
     # the ellipse's conic [[1 - 2 mu, -nu, -xi], [-nu, 1, 0], [-xi, 0, 0]] at b
     val = (1.0 - 2.0 * mu) * ub * ub - 2.0 * nu * ub * vb + vb * vb - 2.0 * xi * ub
     if val > TOL_GEOM:
-        raise InvalidReducedState(f"b is outside the section ellipse (conic value {val:.3e})")
+        raise BOutsideEllipsoid(f"b is outside the section ellipse (conic value {val:.3e})")
     radius = section.R
     margin = kernels.plane_margin(mu, nu, ga, radius, ub, vb)
     den = (mu * ub + nu * vb) / radius + ga
@@ -170,21 +158,18 @@ def pure_state_probability(ell: SteeringEllipsoid, p, b) -> float:
     """Probability weight of the pure steered state fixed by p and b.
 
     Equals 1 - |p b| / |p q| with q the far intersection of the line p b with
-    the ellipsoid surface. Raises NotOnSurface unless p is the contact point
-    (see `_contact_minv`), BOutsideEllipsoid when b is not inside and
-    ValueError when b is not finite.
+    the ellipsoid surface. Raises NotOnSurface unless p is the contact point,
+    BOutsideEllipsoid when b is not inside (see `_contact`) and ValueError
+    when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = _finite(b, "b")
-    return _probability(_contact_minv(ell, p), ell.centre, p, b)
+    b = require_finite(np.asarray(b, dtype=float), "b")
+    return _probability(_contact(ell, p, b), ell.centre, p, b)
 
 
 def _probability(minv, centre, p, b):
-    """`pure_state_probability` on the inverse shape matrix of a checked
-    contact point."""
-    value = _surface_value(minv, centre, b)
-    if value > TOL_GEOM:
-        raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {value:.3e})")
+    """`pure_state_probability` on the inverse shape matrix of `_contact`,
+    which has checked p and b."""
     d = b - p
     length = float(np.linalg.norm(d))
     if length <= TOL_GEOM:
@@ -192,11 +177,14 @@ def _probability(minv, centre, p, b):
     direction = d / length
     qa = direction @ minv @ direction
     qb = direction @ minv @ (p - centre)
-    q0 = _surface_value(minv, centre, p)
+    q0, _ = surface_form(minv.tolist(), centre.tolist(), p.tolist())
     disc = max(qb * qb - qa * q0, 0.0)
     t_far = (-qb + np.sqrt(disc)) / qa
-    if t_far < length - TOL_GEOM:
-        raise BOutsideEllipsoid("b lies beyond the far surface along the chord")
+    # `_contact` admits a b up to TOL_GEOM outside the surface, which on a
+    # chord nearly tangent at p can put it past q: such a b is on the
+    # surface, so q is b itself
+    if t_far <= length:
+        return 0.0
     return float(1.0 - length / t_far)
 
 
@@ -217,42 +205,28 @@ def _pencil(p, b, n_planes):
     return e1, e2, np.linspace(0.0, np.pi, n_planes, endpoint=False)
 
 
-def _surface_value(minv, centre, x):
-    """ell.surface_value(x), on an inverse shape matrix already built."""
-    d = x - centre
-    return float(d @ minv @ d - 1.0)
+def _contact(ell: SteeringEllipsoid, p, b):
+    """The inverse shape matrix, once p is checked to be the contact point and
+    b, when given, to be inside the ellipsoid: the one check of each that
+    every entry point runs.
 
-
-def _contact_minv(ell: SteeringEllipsoid, p):
-    """The inverse shape matrix, once p is checked to be the contact point.
-
-    Raises NotOnSurface unless p is on the unit sphere and on the ellipsoid
-    with the ellipsoid normal there along p.
+    Raises NotOnSurface unless p is the contact point
+    (`check_on_both_surfaces`), and BOutsideEllipsoid when b is given and
+    outside the ellipsoid.
     """
     minv = check_on_both_surfaces(ell, p)
-    # every section through p is tangent to its v axis at p only if the
-    # ellipsoid normal at p is along p
-    g = minv @ (p - ell.centre)
-    if np.linalg.norm(kernels.cross3(g, p)) > 1e-6 * np.linalg.norm(g):
-        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    if b is not None:
+        value, _ = surface_form(minv.tolist(), ell.centre.tolist(), b.tolist())
+        if value > TOL_GEOM:
+            raise BOutsideEllipsoid(f"b is outside the ellipsoid (value {value:.3e})")
     return minv
 
 
-def _contact(ell: SteeringEllipsoid, p, b):
-    """(minv, Q, M', g') at the contact point p, the inverse shape matrix and
-    the contact frame of `kernels.contact_frame`, M' and g' as Python floats
-    for the scans and the refinement.
-
-    Raises NotOnSurface unless p is the contact point (`_contact_minv`), and
-    InvalidReducedState when b is given and outside the ellipsoid.
-    """
-    minv = _contact_minv(ell, p)
-    if b is not None:
-        value = _surface_value(minv, ell.centre, b)
-        if value > TOL_GEOM:
-            raise InvalidReducedState(f"b is outside the ellipsoid (value {value:.3e})")
+def _frame(ell: SteeringEllipsoid, minv, p):
+    """(Q, M', g'), the contact frame of `kernels.contact_frame`, with M' and
+    g' as Python floats for the scans and the refinement."""
     q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
-    return minv, q, mp.tolist(), gp.tolist()
+    return q, mp.tolist(), gp.tolist()
 
 
 class _Pencil(NamedTuple):
@@ -304,12 +278,13 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusRes
     h = (u_b, v_b) / (alpha u_b + beta v_b + gamma). Rows where h maps to the
     line at infinity stay NaN.
 
-    Raises NotOnSurface unless p is the contact point, InvalidReducedState
-    when b is at p or outside the ellipsoid, ValueError when b is not finite.
+    Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
+    when b is outside the ellipsoid, InvalidReducedState when b is at p and
+    ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = _finite(b, "b")
-    _, q, mp, gp = _contact(ell, p, b)
+    b = require_finite(np.asarray(b, dtype=float), "b")
+    q, mp, gp = _frame(ell, _contact(ell, p, b), p)
     return _locus(_pencil_pass(q, mp, gp, p, b, n_planes), p, q)
 
 
@@ -459,13 +434,14 @@ def p_bounds(
     R = |sin a| < 5e-3 count as +inf there. In pencil mode it runs over the
     pencil angle t. The global minimum is clamped at 0.
 
-    Raises NotOnSurface unless p is the contact point, InvalidReducedState
-    when b is at p or outside the ellipsoid, ValueError when b is not finite.
+    Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
+    when b is outside the ellipsoid, InvalidReducedState when b is at p and
+    ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
     if b is not None:
-        b = _finite(b, "b")
-    _, q, mp, gp = _contact(ell, p, b)
+        b = require_finite(np.asarray(b, dtype=float), "b")
+    q, mp, gp = _frame(ell, _contact(ell, p, b), p)
     if b is None:
         return _full_bounds(q, mp, gp, resolution, refine)
     pencil = _pencil_pass(q, mp, gp, p, b, max(resolution))
@@ -486,14 +462,14 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
     `family-sweep` row reads the one its family reports.
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
-    when b is not inside the ellipsoid (as `pure_state_probability` does),
-    InvalidReducedState when b is at p, where the pencil is undefined, and
-    ValueError when b is not finite.
+    when b is not inside the ellipsoid, InvalidReducedState when b is at p,
+    where the pencil is undefined, and ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
-    b = _finite(b, "b")
-    minv, q, mp, gp = _contact(ell, p, None)
+    b = require_finite(np.asarray(b, dtype=float), "b")
+    minv = _contact(ell, p, b)
     p_p = _probability(minv, ell.centre, p, b)
+    q, mp, gp = _frame(ell, minv, p)
     pencil = _pencil_pass(q, mp, gp, p, b, n_planes)
     locus = _locus(pencil, p, q)
     thresholds, valid = kernels.pencil_thresholds(pencil.planes)

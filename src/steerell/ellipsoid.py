@@ -60,8 +60,9 @@ class SteeringEllipsoid:
 
     def surface_value(self, x) -> float:
         """(x - c)^t W^-1 (x - c) - 1; zero on the surface, negative inside."""
-        d = np.asarray(x, dtype=float) - self.centre
-        return float(d @ self.inverse_shape_matrix() @ d - 1.0)
+        x = np.asarray(x, dtype=float).tolist()
+        value, _ = surface_form(self.inverse_shape_matrix().tolist(), self.centre.tolist(), x)
+        return value
 
 
 @dataclass(frozen=True)
@@ -330,29 +331,45 @@ def _mat3_vec(m, x):
     return [_dot3(row, x) for row in m]
 
 
+def surface_form(minv, centre, x):
+    """(value, g) at x on Python floats, with minv = W^-1 as nested lists and
+    centre and x as three floats each: value = (x - c)^t W^-1 (x - c) - 1,
+    zero on the surface and negative inside, and g = W^-1 (x - c), along the
+    outward normal there."""
+    d = [xi - ci for xi, ci in zip(x, centre)]
+    g = _mat3_vec(minv, d)
+    return _dot3(d, g) - 1.0, g
+
+
 def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> np.ndarray:
-    """Raise NotOnSurface unless p lies on the unit sphere and on the ellipsoid
-    surface; return the inverse shape matrix it tested p against. Both checks
-    run on Python floats, and a NaN coordinate fails them."""
-    (x0, x1, x2), (c0, c1, c2) = np.asarray(p, dtype=float).tolist(), ell.centre.tolist()
-    norm = math.hypot(x0, x1, x2)
+    """Raise NotOnSurface unless p is the contact point: on the unit sphere,
+    on the ellipsoid surface, and with the ellipsoid normal there along p,
+    so that every section through p is tangent to its v axis at p. Returns
+    the inverse shape matrix it tested p against. The checks run on Python
+    floats, and a NaN coordinate fails them."""
+    x = np.asarray(p, dtype=float).tolist()
+    norm = math.hypot(*x)
     if not abs(norm - 1.0) <= 1e-6:
         raise NotOnSurface(f"point is not on the unit sphere (|p| = {norm:.9f})")
     minv = ell.inverse_shape_matrix()
-    # ell.surface_value(p), on the matrix already built
-    d = (x0 - c0, x1 - c1, x2 - c2)
-    value = _dot3(d, _mat3_vec(minv.tolist(), d)) - 1.0
+    value, (g0, g1, g2) = surface_form(minv.tolist(), ell.centre.tolist(), x)
     if not abs(value) <= 1e-6:
         raise NotOnSurface(f"point is not on the ellipsoid surface (value {value:.3e})")
+    x0, x1, x2 = x
+    # |g x p| <= 1e-6 |g|; a section's l_v = v.g is at most |g x p| in size,
+    # as v is orthogonal to p
+    off = math.hypot(g1 * x2 - g2 * x1, g2 * x0 - g0 * x2, g0 * x1 - g1 * x0)
+    if not off <= 1e-6 * math.hypot(g0, g1, g2):
+        raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
     return minv
 
 
 def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
     """Section the sphere and ellipsoid by the plane through `point` with `normal`.
 
-    `point` must be the sphere contact point (on the unit sphere and on the
-    ellipsoid surface); only there is the section ellipse tangent to the
-    v axis, which the downstream conic normal forms assume.
+    `point` must be the sphere contact point (`check_on_both_surfaces`);
+    only there is the section ellipse tangent to the v axis, which the
+    downstream conic normal forms assume.
 
     Runs on Python floats. With A the 2x2 restriction of W^-1 to the (u, v)
     frame and l that of its gradient at p, the section ellipse has
@@ -381,15 +398,13 @@ def plane_section(ell: SteeringEllipsoid, point, normal) -> PlaneSection:
     (n0, n1, n2), (u0, u1, u2) = nrm, u_axis
     v_axis = [n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0]
 
-    grad = _mat3_vec(minv, [pi - ci for pi, ci in zip(p, ell.centre.tolist())])
+    _, grad = surface_form(minv, ell.centre.tolist(), p)
     minv_v = _mat3_vec(minv, v_axis)
     a_uu = _dot3(u_axis, _mat3_vec(minv, u_axis))
     a_uv = _dot3(u_axis, minv_v)
     a_vv = _dot3(v_axis, minv_v)
     l_u = _dot3(u_axis, grad)
     l_v = _dot3(v_axis, grad)
-    if abs(l_v) > 1e-6 * math.hypot(l_u, l_v):
-        raise NotOnSurface("section is not tangent to the v axis; point must be the contact point")
 
     mid = 0.5 * (a_uu + a_vv)
     half_gap = math.hypot(0.5 * (a_uu - a_vv), a_uv)

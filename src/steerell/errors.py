@@ -58,8 +58,9 @@ class DegeneratePlane(SteerellError):
     """The plane section is too degenerate (collapsed ellipse) for a verdict."""
 
 
-class BOutsideEllipsoid(SteerellError):
-    """Bob's reduced point does not lie inside the steering ellipsoid."""
+class BOutsideEllipsoid(InvalidReducedState):
+    """Bob's reduced point does not lie inside the steering ellipsoid, or,
+    for an in-plane verdict, inside the section ellipse."""
 
 
 class CollinearSteeredStates(SteerellError):

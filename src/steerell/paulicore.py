@@ -10,6 +10,7 @@ The computational basis order is |00>, |01>, |10>, |11> (Alice first).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,18 +83,20 @@ def _as_vec3(x, name):
     return v
 
 
-def _require_finite(x, name):
-    if not np.isfinite(x).all():
+def require_finite(x, name):
+    """The array x; ValueError naming it unless every entry is finite. NaN
+    fails every comparison, so it would pass the `> tol` guards after this.
+    On Python numbers, as `cmath.isfinite` takes real and complex entries:
+    a third of `np.isfinite(x).all()`'s cost on a 3-vector."""
+    if not all(map(cmath.isfinite, x.ravel().tolist())):
         raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
+    return x
 
 
 def finite_vec3(x, name):
     """x as a list of three Python floats; ValueError unless x is a finite
-    3-vector. On floats NaN passes every `<=` guard, so callers check first."""
-    v = _as_vec3(x, name).tolist()
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
-    return v
+    3-vector."""
+    return require_finite(_as_vec3(x, name), name).tolist()
 
 
 def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
@@ -114,7 +117,7 @@ def state_from_pauli(a, b, T, *, tol: float = TOL_PSD) -> TwoQubitState:
     if T.shape != (3, 3):
         raise ValueError(f"T must be 3x3, got shape {T.shape}")
     for name, x in (("a", a), ("b", b), ("T", T)):
-        _require_finite(x, name)
+        require_finite(x, name)
         # A Pauli coefficient x = tr(rho P) with |x| > 1 puts the weight
         # (1 - |x|)/2 of rho on a rank-2 eigenspace of P, so the least
         # eigenvalue is at most (1 - |x|)/4 and the test below would reject
@@ -138,7 +141,7 @@ def state_from_density(rho, *, tol: float = TOL_PSD) -> TwoQubitState:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    _require_finite(rho, "density matrix")
+    require_finite(rho, "density matrix")
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
@@ -188,7 +191,7 @@ def state_from_json_dict(obj: dict, *, tol: float = TOL_PSD) -> TwoQubitState:
         raw = np.asarray(obj["density_matrix"], dtype=float)
         if raw.shape != (4, 4, 2):
             raise ValueError("density_matrix must be a 4x4 array of [re, im] pairs")
-        _require_finite(raw, "density_matrix")
+        require_finite(raw, "density_matrix")
         rho = raw[..., 0] + 1j * raw[..., 1]
         return state_from_density(rho, tol=tol)
     if not {"a", "b", "T"} <= set(obj):

@@ -149,17 +149,25 @@ def test_valid_state_outside_scenario_exit_code(capsys, tmp_path, obj):
 def test_analyze_with_b_at_the_contact_point_reports_p_p_and_exits_3(capsys, monkeypatch, tmp_path):
     # b on the sphere makes a product state, whose ellipsoid collapses, so
     # the sphere of radius 0.4 touching at +z stands in for it, with
-    # b = p = +z: the pencil through p and b is undefined, p_p = 1 is not
+    # b = p = +z: the pencil through p and b is undefined, p_p = 1 is not.
+    # With b = (0, 0, 0.1), below the sphere, b is outside the ellipsoid:
+    # exit 3 too (it was 1), with no p_p and one contact check, not two
     sphere = ellipsoid_from_geometry([0.0, 0.0, 0.6], [0.4, 0.4, 0.4])
     monkeypatch.setattr(cli, "steering_ellipsoid", lambda state: sphere)
-    obj = {"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0], "T": [[0.0] * 3] * 3}
-    code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["pure_state_probability"] == 1.0
-    assert "coincides with the contact point" in payload["error"]
-    assert payload["error"] in err
-    assert "steerable" not in payload
+    checks = []
+    original = criteria.check_on_both_surfaces
+    monkeypatch.setattr(criteria, "check_on_both_surfaces", lambda *args: checks.append(1) or original(*args))
+    for bz, reason, n_checks in ((1.0, "coincides with the contact point", 2), (0.1, "b is outside the ellipsoid", 1)):
+        checks.clear()
+        obj = {"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, bz], "T": [[0.0] * 3] * 3}
+        code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
+        assert code == 3
+        payload = json.loads(out)
+        assert reason in payload["error"]
+        assert err == f"error: {payload['error']}\n"
+        assert "steerable" not in payload
+        assert payload.get("pure_state_probability") == (1.0 if bz == 1.0 else None)
+        assert len(checks) == n_checks
 
 
 # one-row sweeps: a sphere row reports the full-sphere bounds, an X-state
@@ -244,6 +252,37 @@ def test_section_without_single_contact_exits_3(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ")
     assert "NoContact" in err
+
+
+def test_section_judges_b_only_in_a_plane_that_holds_it(capsys, tmp_path):
+    # the command projected b onto any plane asked for: with these 50 random
+    # normals it printed 27 verdicts for a point that is not b and exited 3
+    # on 23 projections outside the section ellipse. A plane through p and
+    # b judges b itself
+    rng = np.random.default_rng(50)
+    path = tmp_path / "s.json"
+    for _ in range(50):
+        state, _ell, rep = sampling.random_tangent_state(rng)
+        _write_state(path, state_to_json_dict(state))
+        p, b = rep.point, state.b
+        off = rng.normal(size=3)
+        off /= np.linalg.norm(off)
+        # a plane through p and b, whose normal is orthogonal to b - p
+        on = np.cross(b - p, rng.normal(size=3))
+        on /= np.linalg.norm(on)
+        for normal in (off, on):
+            argv = ["section", "--state", str(path), "--normal=" + ",".join(map(repr, normal.tolist()))]
+            code, out, err = _run(capsys, argv)
+            distance = abs(normal @ (b - p))
+            if distance > 1e-9:
+                assert (code, out) == (3, "")
+                assert err.startswith("error: b is not in the plane: it lies ") and err.endswith(" from it\n")
+                assert float(err.split()[-3]) == pytest.approx(distance, rel=1e-3)
+                continue
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            u, v = (np.array(payload[k]) for k in ("u_axis", "v_axis"))
+            np.testing.assert_allclose(p + payload["b_local"][0] * u + payload["b_local"][1] * v, b, atol=1e-12)
 
 
 def test_section_rejects_bad_normal(capsys, obese_file):

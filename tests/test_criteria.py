@@ -45,7 +45,7 @@ from steerell import (
 )
 from steerell.errors import AtInfinity, SteerellError
 from steerell.projective import apply, conic_value, ellipse_point, tangent_ellipse_conic
-from steerell.tolerances import TOL_GEOM
+from steerell.tolerances import BOUNDARY_BAND, TOL_GEOM
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -89,12 +89,19 @@ def test_pure_state_probability_boundary_cases():
         pure_state_probability(ell, P_TOP, [0.0, 0.0, -0.2])
     with pytest.raises(BOutsideEllipsoid):
         pure_state_probability(ell, P_TOP, [0.6, 0.0, 0.9])
+    # within TOL_GEOM of the surface on a chord nearly tangent at p, b lies
+    # past q: it is on the surface, so q is b and p_p is 0. This raised
+    # BOutsideEllipsoid though the scans accept the same b
+    b = [1e-4, 0.0, 1.0 - 9.875e-9]
+    assert 0.0 < ell.surface_value(b) <= TOL_GEOM
+    assert pure_state_probability(ell, P_TOP, b) == 0.0
+    assert criteria.analyze(ell, b, p=P_TOP, n_planes=12).pure_state_probability == 0.0
 
 
 def test_reduced_point_outside_section_rejected():
     ell = _sphere(0.4)
     section = plane_section(ell, P_TOP, [1.0, 0.0, 0.0])
-    with pytest.raises(InvalidReducedState):
+    with pytest.raises(BOutsideEllipsoid):
         steerable_in_plane(section, [1.9, 0.0])
 
 
@@ -196,10 +203,12 @@ def _spheroid_call(name):
     }[name]
 
 
-@pytest.mark.parametrize(
-    "entry_point",
-    ["steerable_in_plane", "pure_state_probability", "pencil p_bounds", "locus_of_h", "classify_locus", "analyze"],
-)
+ENTRY_POINTS = [
+    "steerable_in_plane", "pure_state_probability", "pencil p_bounds", "locus_of_h", "classify_locus", "analyze"
+]
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
 def test_entry_point_rejects_a_non_finite_b(entry_point):
     # a NaN passes every `> tol` guard: the in-plane verdict came out
     # "decided" with margin NaN, the probability NaN, the pencil bounds
@@ -210,6 +219,42 @@ def test_entry_point_rejects_a_non_finite_b(entry_point):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^b_local has non-finite" if in_plane else "^b has non-finite"):
             call([bad, 0.0] if in_plane else [bad, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_entry_point_rejects_b_outside_with_one_exception(entry_point):
+    # b = (0, 0, -0.2) lies below the spheroid, which spans z in [0, 1]; in
+    # the plane y = 0 it is b_local = (1.2, 0). The probability and analyze
+    # raised BOutsideEllipsoid (exit 1 in the CLI), the scans
+    # InvalidReducedState (exit 3); now all raise the one subclass
+    assert issubclass(BOutsideEllipsoid, InvalidReducedState)
+    call = _spheroid_call(entry_point)
+    in_plane = entry_point == "steerable_in_plane"
+    where = "section ellipse" if in_plane else "ellipsoid"
+    with pytest.raises(BOutsideEllipsoid, match=f"^b is outside the {where}"):
+        call([1.2, 0.0] if in_plane else [0.0, 0.0, -0.2])
+
+
+def test_verdict_does_not_depend_on_the_second_setting():
+    # A state of `random_tangent_state` is rho = sum_k |v_k><v_k| with every
+    # v_k orthogonal to the product vector |phi chi>; its steerability sum
+    # over Alice's second setting is |Pi beta|^2 + |Pi gamma|^2 for every
+    # setting, and Alice's filtering moves b along p q without changing the
+    # ellipsoid. So b's threshold is one number across its pencil, and
+    # every pencil plane gives b the same verdict.
+    rng = np.random.default_rng(25)
+    for _ in range(1000):
+        state, ell, rep = sampling.random_tangent_state(rng)
+        result = criteria.analyze(ell, state.b, p=rep.point, n_planes=90)
+        thresholds = result.thresholds[result.valid]
+        assert thresholds.size > 0
+        assert thresholds.max() - thresholds.min() <= 1e-10
+        margins = result.locus.margins
+        classification = criteria.classify_margins(margins)
+        assert classification != CROSSING or np.abs(margins).max() < BOUNDARY_BAND
+        gap = result.pure_state_probability - thresholds.max()
+        if abs(gap) > 1e-10:
+            assert classification == (ALL_INSIDE if gap > 0.0 else ALL_OUTSIDE)
 
 
 def _imports(module):
@@ -258,11 +303,13 @@ def _bad_contacts():
 
 
 def test_locus_rejects_bad_contact_and_reduced_points():
-    # every scan through p takes only the contact point, and only a b inside
+    # every scan through p, and a plane section, takes only the contact
+    # point, with the messages of its one test; a scan takes only a b inside
     scans = {
         "locus_of_h": lambda ell, p, b: locus_of_h(ell, b, n_planes=12, p=p),
         "full-sphere p_bounds": lambda ell, p, b: p_bounds(ell, p=p, resolution=(7, 14)),
         "pencil p_bounds": lambda ell, p, b: p_bounds(ell, p=p, b=b, resolution=(7, 14)),
+        "plane_section": lambda ell, p, b: plane_section(ell, p, [0.0, 1.0, 0.0]),
     }
     for scan in scans.values():
         for surface, p, message in _bad_contacts():
@@ -270,7 +317,7 @@ def test_locus_rejects_bad_contact_and_reduced_points():
                 scan(surface, p, [0.0, 0.0, 0.6])
     ell = _sphere(0.4)
     for name in ("locus_of_h", "pencil p_bounds"):
-        with pytest.raises(InvalidReducedState, match="outside the ellipsoid"):
+        with pytest.raises(BOutsideEllipsoid, match="outside the ellipsoid"):
             scans[name](ell, P_TOP, [0.0, 0.0, 0.1])
         with pytest.raises(InvalidReducedState, match="coincides with the contact point"):
             scans[name](ell, P_TOP, P_TOP)

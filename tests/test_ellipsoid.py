@@ -27,6 +27,15 @@ from steerell.tolerances import TOL_SECULAR_GAP
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _fibonacci_sphere(count):
+    """count nearly uniform unit vectors, (count, 3), on a Fibonacci spiral."""
+    i = np.arange(count, dtype=float) + 0.5
+    z = 1.0 - 2.0 * i / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid construction
 # ---------------------------------------------------------------------------
@@ -144,7 +153,7 @@ def test_no_contact_for_nearly_flat_interior_ellipsoid(a, b, T):
 def _flat_tangent_ellipsoid(rng, c):
     """Ellipsoid with semiaxes (0.3-0.7, 0.1-0.3, c), tangent to the sphere
     from inside at a random point p: (ellipsoid, p)."""
-    dirs = sampling._fibonacci_sphere(400)
+    dirs = _fibonacci_sphere(400)
     while True:
         semi = np.array([rng.uniform(0.3, 0.7), rng.uniform(0.1, 0.3), c])
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -283,7 +292,7 @@ def test_ellipsoid_leaving_the_ball_is_degenerate(centre, semiaxes):
 def test_excess_is_the_farthest_distance():
     # |x|max from the secular equation against a dense sample of the surface
     rng = np.random.default_rng(3)
-    dirs = sampling._fibonacci_sphere(20000)
+    dirs = _fibonacci_sphere(20000)
     for _ in range(30):
         semi = rng.uniform(0.05, 0.8, 3)
         ell = ellipsoid_from_geometry(rng.uniform(-0.3, 0.3, 3), semi, axes=_rotation(rng))
@@ -351,6 +360,10 @@ def test_abstract_tangent_sampler_contact(seed):
     rep = tangency(ell)
     assert rep.status == SINGLE_TANGENT
     npt.assert_allclose(rep.point, p, atol=1e-6)
+    # the sampler leaves nesting to tangency: a dense sample of the surface
+    # stays in the ball
+    surface = ell.centre + (_fibonacci_sphere(400) * ell.semiaxes) @ ell.axes.T
+    assert np.linalg.norm(surface, axis=1).max() <= 1.0 + 1e-9
 
 
 def test_tangent_state_sampler_propagates_faults(monkeypatch):
