@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 file or argument errors (argparse usage errors
 included), 2 unphysical state, 3 the scenario does not apply (no single
 sphere contact, a zero-volume ellipsoid, a pure Alice marginal, b at the
-contact point or outside the ellipsoid, or a `section` plane that does not
-contain b). All output is deterministic for fixed inputs.
+contact point, on the tangent plane there or outside the ellipsoid, or a
+`section` plane that does not contain b). All output is deterministic for
+fixed inputs.
 """
 from __future__ import annotations
 
@@ -152,7 +153,8 @@ def _analyze(state, args, payload):
         # no chord p q holds b, so there is no p_p to report
         raise
     except InvalidReducedState:
-        # b at p: the pencil is undefined, but p_p is not and is reported
+        # b at p, or on the tangent plane there: the pencil is undefined or
+        # holds that plane, but p_p is not and is reported
         payload["pure_state_probability"] = criteria.pure_state_probability(ell, p, b)
         raise
     margins = result.locus.margins

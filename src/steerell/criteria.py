@@ -15,15 +15,23 @@ the two stationary slopes (or at slope 0 and the axis-parallel limit when
 beta = 0), and the global extrema over planes give (p_min, p_max) such that
 p > p_max is sufficient and p > p_min necessary for steerability.
 
+When the ellipsoid is isotropic at p, as every state's is, a chord's
+threshold is the same in every plane through it, a ratio of two quadratic
+forms in the chord direction, and `analyze` takes the full-sphere bounds
+from it in closed form (`_isotropic_bounds`), scanning no plane. Public
+`p_bounds`, and `analyze` on an ellipsoid that is anisotropic at p, scan.
+
 Every verdict and bound here comes from the per-plane formulas of `kernels`:
 one plane's (alpha, beta, gamma) from its ellipse invariants
-(`kernels.ellipse_invariants`), the scans' from the contact-frame reduction.
+(`kernels.ellipse_invariants`), the scans' from the contact-frame reduction,
+and the closed form from the same reduction read in every plane at once.
 The homology of `projective`, the paper's construction, is the tests'
 reference for them; this module does not use it.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -40,7 +48,7 @@ from .ellipsoid import (
 )
 from .errors import BOutsideEllipsoid, DegeneratePlane, InvalidReducedState
 from .paulicore import require_finite
-from .tolerances import BOUNDARY_BAND, TOL_GEOM
+from .tolerances import BOUNDARY_BAND, TOL_ANISOTROPY, TOL_GEOM
 
 ALL_INSIDE = "AllInside"
 CROSSING = "Crossing"
@@ -95,7 +103,9 @@ class Analysis:
 
     The two bounds are computed the first time they are read, on the
     contact frame and the pencil pass that `analyze` holds, so a caller that
-    reports one of them does not pay for the other.
+    reports one of them does not pay for the other. The full-sphere bounds
+    are in closed form, with n_planes 0, when the ellipsoid is isotropic at
+    p (`_isotropic_bounds`).
     """
 
     pure_state_probability: float
@@ -107,9 +117,14 @@ class Analysis:
 
     @cached_property
     def bounds(self) -> ProbBounds:
-        """Full-sphere bounds on the (n, 2n) grid, refined."""
-        n_planes = len(self._pass.ts)
-        return _full_bounds(*self._frame, (n_planes, 2 * n_planes), True)
+        """Full-sphere bounds: in closed form (`_isotropic_bounds`) when the
+        ellipsoid is isotropic at p, as every state's is, and otherwise on
+        the (n, 2n) grid, refined."""
+        bounds = _isotropic_bounds(*self._frame)
+        if bounds is None:
+            n_planes = len(self._pass.ts)
+            bounds = _full_bounds(*self._frame, (n_planes, 2 * n_planes), True)
+        return bounds
 
     @cached_property
     def bounds_pencil(self) -> ProbBounds:
@@ -190,12 +205,18 @@ def _probability(minv, centre, p, b):
 
 def _pencil(p, b, n_planes):
     """Frame (e1, e2) orthogonal to b - p and the angles t of the n_planes
-    pencil planes with normals cos(t) e1 + sin(t) e2."""
+    pencil planes with normals cos(t) e1 + sin(t) e2. Raises
+    InvalidReducedState when b is at p or on the tangent plane at p."""
     d = b - p
     length = np.linalg.norm(d)
     if length <= TOL_GEOM:
         raise InvalidReducedState("b coincides with the contact point; the pencil is undefined")
     direction = d / length
+    # the pencil's plane nearest the tangent plane at p has circle radius
+    # R = |p . direction|, and `kernels.polar_factors` rejects R <= 1e-6;
+    # `_contact` admits such a b only within TOL_GEOM of the surface
+    if abs(float(p @ direction)) <= 1e-6:
+        raise InvalidReducedState("b is on the tangent plane at the contact point; the pencil holds that plane")
     seed = np.array([1.0, 0.0, 0.0])
     if abs(direction @ seed) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])
@@ -252,7 +273,9 @@ def _locus(pencil, p, q):
     """The `LocusResult` of a `_pencil_pass`; see `locus_of_h`."""
     x, y, d, radius, mu, nu, ga, wu, wv, valid = pencil.planes
     if not valid.all():
-        # such a plane has normal +-p, which puts b on the tangent plane at p
+        # such a plane has normal +-p, which puts b on the tangent plane at
+        # p; `_pencil` rejects that b, so only rounding at the edge of its
+        # test arrives here
         raise DegeneratePlane("a pencil plane is the tangent plane at the contact point")
     r2 = radius * radius
     margins = kernels.plane_margin(mu, nu, ga, radius, wu / radius, wv / radius)
@@ -279,8 +302,8 @@ def locus_of_h(ell: SteeringEllipsoid, b, *, p, n_planes: int = 180) -> LocusRes
     line at infinity stay NaN.
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
-    when b is outside the ellipsoid, InvalidReducedState when b is at p and
-    ValueError when b is not finite.
+    when b is outside the ellipsoid, InvalidReducedState when b is at p or
+    on the tangent plane at p and ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
     b = require_finite(np.asarray(b, dtype=float), "b")
@@ -435,8 +458,8 @@ def p_bounds(
     pencil angle t. The global minimum is clamped at 0.
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
-    when b is outside the ellipsoid, InvalidReducedState when b is at p and
-    ValueError when b is not finite.
+    when b is outside the ellipsoid, InvalidReducedState when b is at p or
+    on the tangent plane at p and ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
     if b is not None:
@@ -450,11 +473,13 @@ def p_bounds(
 
 def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
     """`pure_state_probability`, `locus_of_h` over n_planes pencil planes,
-    full-sphere `p_bounds` at resolution (n_planes, 2 n_planes) and pencil
-    `p_bounds` over the same n_planes planes, all refined, from one contact
-    check and one reduction of the pencil.
+    the full-sphere bounds and pencil `p_bounds` over the same n_planes
+    planes, refined, from one contact check and one reduction of the pencil.
 
-    The results equal those of the four separate calls. The pencil pass
+    The full-sphere bounds are the closed form of `_isotropic_bounds` when
+    the ellipsoid is isotropic at p, as every state's is, and otherwise
+    full-sphere `p_bounds` at resolution (n_planes, 2 n_planes), refined.
+    The other results equal those of the separate calls. The pencil pass
     gives the margins, the h points and, per plane, the threshold at b's
     chord slope: b is steerable in a plane iff p_p exceeds its threshold.
     The two bounds are computed on first read (`Analysis.bounds`,
@@ -463,7 +488,8 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
     when b is not inside the ellipsoid, InvalidReducedState when b is at p,
-    where the pencil is undefined, and ValueError when b is not finite.
+    where the pencil is undefined, or on the tangent plane at p, which the
+    pencil then holds, and ValueError when b is not finite.
     """
     p = np.asarray(p, dtype=float)
     b = require_finite(np.asarray(b, dtype=float), "b")
@@ -480,6 +506,86 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
         valid=valid,
         _frame=(q, mp, gp),
         _pass=pencil,
+    )
+
+
+def _debug(message, *args):
+    """Log at DEBUG to `logging.getLogger("steerell")`.
+
+    Importing `logging` costs a fresh process about 7.5 ms, 5-6% of the
+    set-up of one CLI call, and only a program that has configured logging,
+    and so imported it, can see a DEBUG record; so the library does not
+    import it itself.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("steerell").debug(message, *args)
+
+
+def _isotropic_bounds(q, mp, gp):
+    """Full-sphere bounds in closed form from the contact frame (Q, M', g')
+    of `_contact`, or None when the ellipsoid is anisotropic at p
+    (`TOL_ANISOTROPY`) or the pencil (N, D) below is not definite; the
+    bounds are then scanned.
+
+    With m = M'00 = M'11 (M'01 = 0), g = g'2 and kappa = g / m, b's chord
+    from p in direction w has the threshold
+
+        t(w) = w^T N w / w^T D w,   N = M' - g I,   D = (1 + kappa) M' - g I,
+
+    in every plane through the chord: in a plane whose axis in the tangent
+    plane at p is v, `kernels.pencil_threshold` reads
+    w^T N w / (w^T N w + (g / v^T M' v) w^T M' w), and isotropy makes
+    v^T M' v = m for every v. Nesting makes N positive semidefinite, so D is
+    definite and the bounds are the extreme generalized eigenvalues of
+    (N, D). The tangent direction e_perp orthogonal to (M'02, M'12) is an
+    eigenvector of both, with eigenvalue 1 - kappa. On the span of
+    e_par = (M'02, M'12) / h and p, h = |(M'02, M'12)|, the pencil (N2, D2)
+    in standard form is S = L^-1 N2 L^-T with D2 = L L^T, and 1 - kappa is
+    S's first diagonal entry, so it lies between S's eigenvalues: they are
+    the bounds. They are mid -+ hypot((S00 - S11) / 2, S01), a discriminant
+    with no cancellation; the roots of det(N2 - lambda D2) = 0 by the
+    quadratic formula lost half their digits at the double root of a sphere
+    (8.6e-9 at r = 0.4). When h = 0, one of them is 1 - kappa: the limit of
+    the threshold as the chord tends to e_par, a tangent direction. p_min is
+    clamped at 0, as in `p_bounds`.
+
+    No plane is scanned, so n_planes is 0. Both attaining chords lie in the
+    span of e_par and p, so argmin_normal and argmax_normal (two arrays) are
+    e_perp in the world frame, the normal of the plane through p that holds
+    them. When h = 0, e_par is Q's first axis.
+    """
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
+    anisotropy = max(abs(m00 - m11), 2.0 * abs(m01)) / m00
+    if anisotropy > TOL_ANISOTROPY:
+        _debug("full-sphere bounds by the scan: anisotropy at p %.3e", anisotropy)
+        return None
+    m, g = 0.5 * (m00 + m11), gp[2]
+    kappa = g / m
+    h = math.hypot(m02, m12)
+    # N2 and D2 on (e_par, p); D2's first entry (1 + kappa) m - g is m
+    n00, n01, n11 = m - g, h, m22 - g
+    d00, d01, d11 = m, (1.0 + kappa) * h, (1.0 + kappa) * m22 - g
+    det_d = d00 * d11 - d01 * d01
+    if not det_d > 0.0:
+        _debug("full-sphere bounds by the scan: det D2 = %.3e, anisotropy at p %.3e", det_d, anisotropy)
+        return None
+    # S = L^-1 N2 L^-T for the Cholesky factor L of D2; r = L10 / L00
+    r = d01 / d00
+    s00 = n00 / d00
+    s01 = (n01 - r * n00) / math.sqrt(det_d)
+    s11 = (n11 - r * (2.0 * n01 - r * n00)) * d00 / det_d
+    mid, rad = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), s01)
+    cos_p, sin_p = (m02 / h, m12 / h) if h > 0.0 else (1.0, 0.0)
+    normal = cos_p * q[1] - sin_p * q[0]
+    _debug("full-sphere bounds in closed form: anisotropy at p %.3e", anisotropy)
+    return ProbBounds(
+        p_min=float(max(mid - rad, 0.0)),
+        p_max=float(mid + rad),
+        mode="ellipsoid",
+        argmin_normal=normal,
+        argmax_normal=normal.copy(),
+        n_planes=0,
     )
 
 

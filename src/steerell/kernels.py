@@ -8,6 +8,15 @@ bounds in `criteria.p_bounds`, and the one-plane verdicts of
 homology of `projective` is the paper's construction of the same column
 (alpha, beta, gamma); the tests hold these formulas to it.
 
+The reduction also says when the plane does not matter: along a chord, the
+threshold depends on the plane only through v^T M' v, with v the plane's
+axis in the tangent plane at p (see the header of the reduction below). An
+ellipsoid isotropic at p, m00 = m11 and m01 = 0 in the contact frame, as
+every state's is, gives every plane through a chord one threshold, and
+`criteria` takes its full-sphere bounds in closed form from that. The
+full-sphere scan (`scan_grid`) serves public `criteria.p_bounds` and
+ellipsoids that are anisotropic at p.
+
   ellipse_invariants
                     (m, n, delta) of a section ellipse -> (mu, nu, xi, g),
                     with (mu, nu, xi) = R (alpha, beta, gamma)
@@ -79,6 +88,16 @@ DEFAULT_BACKEND = "numpy"
 # outer product per term and no rotation of its normals (`scan_grid`). The
 # per-plane bounds, slopes and pencil threshold depend on (mu, nu, gamma)
 # only, and none of it carries a 1 - d^2 cancellation near the tangent plane.
+#
+# For g' = (0, 0, g), the in-plane chord of slope k runs along
+# w = u'/R + k v'/R. With V1 = v^T M' v for the unit axis v = v'/R,
+# 1 + k^2 - 2 (mu + k nu) = w^T M' w / V1 and gamma = g / V1, so
+# `pencil_threshold` reads
+#
+#   t = w^T N w / (w^T N w + (g / V1) w^T M' w),   N = M' - g I.
+#
+# Only V1 depends on the plane. It is m for every v when m00 = m11 = m and
+# m01 = 0, and then every plane through the chord gives the same t.
 # ---------------------------------------------------------------------------
 
 _BETA_EPS = 1e-12

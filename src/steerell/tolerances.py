@@ -30,3 +30,10 @@ TOL_TAU = 1e-7
 
 # verdicts with |margin| below this band are reported indeterminate
 BOUNDARY_BAND = 1e-8
+
+# criteria's closed-form full-sphere bounds, relative to M'00: an ellipsoid
+# whose contact-frame tangent block has max(|M'00 - M'11|, 2 |M'01|) / M'00
+# above this is anisotropic at p, and its bounds are scanned. Rounding
+# leaves at most 4.8e-14 on random tangent states; abstract tangent
+# ellipsoids (`sampling.random_tangent_ellipsoid`) read 0.027 and more.
+TOL_ANISOTROPY = 1e-10

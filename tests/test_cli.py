@@ -170,6 +170,23 @@ def test_analyze_with_b_at_the_contact_point_reports_p_p_and_exits_3(capsys, mon
         assert len(checks) == n_checks
 
 
+def test_analyze_with_b_on_the_tangent_plane_reports_p_p_and_exits_3(capsys, monkeypatch, tmp_path):
+    # the sphere of radius 0.4 touching at +z stands in for the ellipsoid, as
+    # above. b = p + (1e-5, 0, 0) is within TOL_GEOM of its surface, so p_p
+    # is 0, and the pencil through p and b holds the tangent plane at p:
+    # exit 3 with p_p, where the DegeneratePlane of the locus exited 1
+    sphere = ellipsoid_from_geometry([0.0, 0.0, 0.6], [0.4, 0.4, 0.4])
+    monkeypatch.setattr(cli, "steering_ellipsoid", lambda state: sphere)
+    obj = {"a": [0.0, 0.0, 0.0], "b": [1e-5, 0.0, 1.0], "T": [[0.0] * 3] * 3}
+    code, out, err = _run(capsys, ["analyze", "--state", _write_state(tmp_path / "s.json", obj)])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"].startswith("b is on the tangent plane at the contact point")
+    assert err == f"error: {payload['error']}\n"
+    assert "steerable" not in payload
+    assert payload["pure_state_probability"] == 0.0
+
+
 # one-row sweeps: a sphere row reports the full-sphere bounds, an X-state
 # row the pencil bounds
 SPHERE_ROW = ["family-sweep", "--family", "sphere", "--param", "r=0.4:0.4:1"]
@@ -182,11 +199,14 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
     # the separate probability, locus and bounds calls checked the contact
     # point four times an analyze and three times a sweep row, and an
     # X-state row reduced its pencil twice; a row now reads only the bound
-    # it reports, so an X-state row scans no full-sphere grid
+    # it reports, so an X-state row takes no full-sphere bounds. A state's
+    # ellipsoid is isotropic at p, so its full-sphere bounds are the closed
+    # form's and no grid is scanned
     names = (
         (criteria, "check_on_both_surfaces"),
         (kernels, "contact_frame"),
         (kernels, "pencil_planes"),
+        (criteria, "_isotropic_bounds"),
         (kernels, "scan_grid"),
     )
     calls = dict.fromkeys((name for _, name in names), 0)
@@ -197,13 +217,19 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    for argv, scans in ((["analyze", "--state", obese_file], 1), (SPHERE_ROW, 1), (XSTATE_ROW, 0)):
+    for argv, closed_forms in ((["analyze", "--state", obese_file], 1), (SPHERE_ROW, 1), (XSTATE_ROW, 0)):
         calls.update(dict.fromkeys(calls, 0))
         code, out, _err = _run(capsys, argv)
         assert code == 0
         if argv[0] == "family-sweep":
             assert len(out.splitlines()) == 2
-        expected = {"check_on_both_surfaces": 1, "contact_frame": 1, "pencil_planes": 1, "scan_grid": scans}
+        expected = {
+            "check_on_both_surfaces": 1,
+            "contact_frame": 1,
+            "pencil_planes": 1,
+            "_isotropic_bounds": closed_forms,
+            "scan_grid": 0,
+        }
         assert calls == expected, argv
 
 
@@ -348,8 +374,9 @@ FAMILY_ROWS = {
 
 @pytest.mark.parametrize("family", FAMILY_ROWS)
 def test_family_sweep_row_equals_the_separate_calls(capsys, family):
-    # a row's cells are what the public scans give one at a time, with the
-    # bounds of the family's mode
+    # a row's cells are what the public calls give one at a time, with the
+    # bounds of the family's mode: the pencil scan's, or the closed form's
+    # full-sphere bounds
     params, state, pencil = FAMILY_ROWS[family]
     argv = ["family-sweep", "--family", family, "--planes", "12"]
     for name, value in params.items():
@@ -361,7 +388,7 @@ def test_family_sweep_row_equals_the_separate_calls(capsys, family):
     if pencil:
         bounds = criteria.p_bounds(ell, p=p, b=b, resolution=(12, 12))
     else:
-        bounds = criteria.p_bounds(ell, p=p, resolution=(12, 24))
+        bounds = criteria._isotropic_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
     expected = {
         "p_p": criteria.pure_state_probability(ell, p, b),
         "margin": criteria.locus_of_h(ell, b, p=p, n_planes=12).margins.max(),
@@ -563,7 +590,10 @@ def test_consecutive_calls_share_no_state(capsys, obese_file):
     analyze = ["analyze", "--state", obese_file, "--planes", "12"]
     code, first, _ = _run(capsys, analyze)
     assert code == 0
-    assert json.loads(first)["p_bounds"]["n_planes"] == 6 * 24
+    # the full-sphere bounds are in closed form and scan no plane; --planes
+    # sets the pencil, whose 12 planes all hold b's chord
+    assert json.loads(first)["p_bounds"]["n_planes"] == 0
+    assert json.loads(first)["p_bounds_pencil"]["n_planes"] == 12
 
     # --param appends to a list; a call without it sweeps the default grid
     sweep = ["family-sweep", "--family", "spheroid", "--planes", "4"]
@@ -578,10 +608,11 @@ def test_consecutive_calls_share_no_state(capsys, obese_file):
     assert code == 0
     assert _grid_rows(out, "mn") == [(m, 0.3) for m in np.linspace(0.2, 0.8, 7)]
 
-    # --planes falls back to its default of 180: a 90 x 360 hemisphere
+    # --planes falls back to its default of 180 pencil planes
     code, out, _ = _run(capsys, ["analyze", "--state", obese_file])
     assert code == 0
-    assert json.loads(out)["p_bounds"]["n_planes"] == 32400
+    assert json.loads(out)["p_bounds"]["n_planes"] == 0
+    assert json.loads(out)["p_bounds_pencil"]["n_planes"] == 180
 
     # a usage error exits 1 through _Parser.error, and leaves the next call
     # free to succeed and the one after to fail the same way

@@ -1,7 +1,12 @@
 """Per-plane margins, the h locus, probability bounds and their consistency."""
 import ast
 import functools
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -41,6 +46,7 @@ from steerell import (
     tangent_x_geometry,
     tangent_x_state,
     x_locus_endpoint,
+    x_semiaxes,
     x_state_p_bounds,
 )
 from steerell.errors import AtInfinity, SteerellError
@@ -321,6 +327,25 @@ def test_locus_rejects_bad_contact_and_reduced_points():
             scans[name](ell, P_TOP, [0.0, 0.0, 0.1])
         with pytest.raises(InvalidReducedState, match="coincides with the contact point"):
             scans[name](ell, P_TOP, P_TOP)
+
+
+def test_b_on_the_tangent_plane_is_not_in_the_scenario():
+    # on the sphere of radius 0.4 touching at +z, b = p + (1e-5, 0, 0) is
+    # 6.25e-10 outside, within TOL_GEOM, so on the surface: its weight is 0.
+    # Its pencil holds the tangent plane at p, where the locus and analyze
+    # raised DegeneratePlane (CLI exit 1) and the pencil bounds returned
+    ell, _b, p = spheroid_geometry(0.4, 0.4)
+    for b in (p + [1e-5, 0.0, 0.0], p + [0.0, 1e-5, -1e-12]):
+        assert 0.0 < ell.surface_value(b) <= TOL_GEOM
+        assert pure_state_probability(ell, p, b) == 0.0
+        for call in (
+            lambda: criteria.analyze(ell, b, p=p, n_planes=12),
+            lambda: locus_of_h(ell, b, n_planes=12, p=p),
+            lambda: p_bounds(ell, p=p, b=b, resolution=(7, 14)),
+        ):
+            with pytest.raises(InvalidReducedState, match="^b is on the tangent plane at the contact point") as info:
+                call()
+            assert not isinstance(info.value, BOutsideEllipsoid)
 
 
 def test_pure_state_probability_requires_the_contact_point():
@@ -629,11 +654,17 @@ def _bounds_fields(bounds):
     )
 
 
+def _closed_form_bounds(ell, p):
+    """`criteria._isotropic_bounds` on the contact frame of ell at p."""
+    return criteria._isotropic_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
+
+
 @pytest.mark.parametrize("n_planes", [180, 7])
 def test_analyze_equals_the_separate_calls(n_planes):
-    # one contact check and one pencil pass give exactly what the four
-    # public calls give, one at a time. The bounds are computed on first
-    # read, so each is checked read alone and read before or after the other.
+    # one contact check and one pencil pass give exactly what the separate
+    # calls give, one at a time: every case is a state, so its full-sphere
+    # bounds are the closed form's. The bounds are computed on first read,
+    # so each is checked read alone and read before or after the other.
     reads = (("bounds",), ("bounds_pencil",), ("bounds", "bounds_pencil"), ("bounds_pencil", "bounds"))
     for ell, b, p in _analyze_cases():
         got = criteria.analyze(ell, b, p=p, n_planes=n_planes)
@@ -642,7 +673,7 @@ def test_analyze_equals_the_separate_calls(n_planes):
         for field in ("points", "margins", "normals"):
             assert np.array_equal(getattr(got.locus, field), getattr(locus, field), equal_nan=True), field
         separate = {
-            "bounds": p_bounds(ell, p=p, resolution=(n_planes, 2 * n_planes)),
+            "bounds": _closed_form_bounds(ell, p),
             "bounds_pencil": p_bounds(ell, p=p, b=b, resolution=(n_planes, n_planes)),
         }
         for names in reads:
@@ -671,6 +702,174 @@ def test_margin_sign_is_the_sign_of_p_p_above_the_threshold():
         checked += int(keep.sum())
     # the identity is checked on nearly every plane, not vacuously
     assert checked >= 0.95 * 50 * 180
+
+
+# ---------------------------------------------------------------------------
+# the closed-form full-sphere bounds of an ellipsoid isotropic at p
+# ---------------------------------------------------------------------------
+
+
+def _chord_threshold(ell, p, b):
+    """t(w) = w^T N w / w^T D w at b's chord w = Q (b - p), with
+    N = M' - g I and D = (1 + g / m) M' - g I in the contact frame."""
+    q, mp, gp = criteria._frame(ell, criteria._contact(ell, p, None), p)
+    mp, g = np.array(mp), gp[2]
+    kappa = g / (0.5 * (mp[0, 0] + mp[1, 1]))
+    n, d = mp - g * np.eye(3), (1.0 + kappa) * mp - g * np.eye(3)
+    w = q @ (b - p)
+    return (w @ n @ w) / (w @ d @ w)
+
+
+def _density_matrix_bounds(state):
+    """(p_min, p_max) of a rank-3 state from its density matrix alone.
+
+    The kernel of rho is a product vector |phi chi>. In the basis
+    (|phi' chi>, |phi chi'>, |phi' chi'>), primes the orthogonal kets, Alice's
+    filtering keeps the ellipsoid and sends phi' to any ket psi, and the
+    threshold of the chord it gives b is r22 R / (r22 R + |r12|^2) with
+    R = psi^H A psi / psi^H C psi, A = r11 M - conj(u) u^T and
+    C = M + diag(0, r11): M is the block of rho on the last two basis kets
+    and u = (r12, r13). The bounds are its values at the extreme
+    generalized eigenvalues of (A, C).
+    """
+    rho = state.density_matrix()
+    _, vecs = np.linalg.eigh(rho)
+    left, _, right = np.linalg.svd(vecs[:, 0].reshape(2, 2))
+    phi, phi_o, chi, chi_o = left[:, 0], left[:, 1], right[0], right[1]
+    basis = np.array([np.kron(phi_o, chi), np.kron(phi, chi_o), np.kron(phi_o, chi_o)]).T
+    r = basis.conj().T @ rho @ basis
+    r11, r22, u = r[0, 0].real, r[1, 1].real, r[0, 1:]
+    a = r11 * r[1:, 1:] - np.outer(u.conj(), u)
+    inv = np.linalg.inv(np.linalg.cholesky(r[1:, 1:] + np.diag([0.0, r11])))
+    ratio = np.linalg.eigvalsh(inv @ a @ inv.conj().T)
+    t = r22 * ratio / (r22 * ratio + abs(r[0, 1]) ** 2)
+    return max(float(t.min()), 0.0), float(t.max())
+
+
+def _rank3_draws(seed, n_draws):
+    rng = np.random.default_rng(seed)
+    return [sampling.random_tangent_state(rng) for _ in range(n_draws)]
+
+
+def test_closed_form_bounds_match_the_refined_scan():
+    # on states the refined (180, 360) scan reaches the closed form to
+    # 1.0e-12; a scan value is the threshold of a real plane, so the closed
+    # form's interval holds the scan's, up to rounding. The plane of each
+    # attaining normal holds the attaining chord, so its in-plane bounds
+    # reach the global one.
+    for state, ell, rep in _rank3_draws(11, 1000):
+        p = rep.point
+        frame = criteria._frame(ell, criteria._contact(ell, p, None), p)
+        closed = criteria._isotropic_bounds(*frame)
+        scan = criteria._full_bounds(*frame, (180, 360), True)
+        assert (closed.mode, closed.n_planes) == ("ellipsoid", 0)
+        assert abs(closed.p_min - scan.p_min) <= 2e-12
+        assert abs(closed.p_max - scan.p_max) <= 2e-12
+        assert closed.p_min <= scan.p_min + 2e-12
+        assert scan.p_max <= closed.p_max + 2e-12
+        top = p_bounds_in_plane(plane_section(ell, p, closed.argmax_normal))
+        assert top.p_max == pytest.approx(closed.p_max, abs=1e-10)
+        if closed.p_min > 0.0:
+            bottom = p_bounds_in_plane(plane_section(ell, p, closed.argmin_normal))
+            assert bottom.p_min == pytest.approx(closed.p_min, abs=1e-10)
+
+
+def test_closed_form_bounds_match_the_density_matrix_form():
+    # the same bounds from rho's kernel basis, through no ellipsoid
+    for state, ell, rep in _rank3_draws(12, 1000):
+        closed = _closed_form_bounds(ell, rep.point)
+        lo, hi = _density_matrix_bounds(state)
+        assert closed.p_min == pytest.approx(lo, abs=1e-11)
+        assert closed.p_max == pytest.approx(hi, abs=1e-11)
+
+
+def test_closed_form_bounds_of_the_closed_form_families():
+    # a sphere's pencil has a double root: the quadratic formula's
+    # discriminant cancelled there and left r = 0.4 of the default sweep grid
+    # 8.6e-9 off 1 - r
+    for r in (*np.linspace(0.05, 0.95, 19), 0.3, 0.4, 0.5):
+        out = _closed_form_bounds(steering_ellipsoid(tangent_sphere_state(r)), P_TOP)
+        assert (out.p_min, out.p_max) == pytest.approx((1.0 - r, 1.0 - r), abs=1e-14)
+    # the obese states have rank 2, where the density-matrix form fails
+    for c in (*np.linspace(0.0, 0.99, 100), 0.01, 0.5):
+        out = _closed_form_bounds(steering_ellipsoid(obese_state(c)), P_TOP)
+        assert (out.p_min, out.p_max) == pytest.approx((0.0, c / (1.0 + c)), abs=1e-15)
+    grid = np.linspace(0.2, 0.8, 7)
+    spheroids = [(m, n) for m in grid for n in grid if n * n <= m]
+    for m, n in (*spheroids, (0.6, 0.5), (0.3, 0.5), (0.5, 0.4), (0.4, 0.4), (0.2, 0.4472)):
+        out = _closed_form_bounds(steering_ellipsoid(tangent_spheroid_state(m, n)), P_TOP)
+        assert (out.p_min, out.p_max) == pytest.approx(spheroid_p_bounds(m, n), abs=1e-14)
+    # a physical X state (t_y = -t_x) has the spheroid (n, n, m) of
+    # `x_semiaxes`; the X closed form is the threshold of b's axial chord,
+    # one end of the interval
+    for a, b, t in ((0.1, 0.4, 0.5), (0.2, 0.5, 0.6), (0.0, 0.4, 0.5)):
+        state = tangent_x_state(a, b, t, -t)
+        out = _closed_form_bounds(steering_ellipsoid(state), P_TOP)
+        n_x, n_y, m = x_semiaxes(a, b, t, -t)
+        assert n_x == pytest.approx(n_y, abs=1e-15)
+        assert (out.p_min, out.p_max) == pytest.approx(spheroid_p_bounds(m, n_x), abs=1e-14)
+        axial = x_state_p_bounds(a, b, t, -t)[0]
+        assert min(abs(out.p_min - axial), abs(out.p_max - axial)) <= 1e-14
+    out = _closed_form_bounds(steering_ellipsoid(tangent_x_state(0.1, 0.4, 0.5, -0.5)), P_TOP)
+    assert (out.p_min, out.p_max) == pytest.approx((22.0 / 47.0, 41.0 / 66.0), abs=1e-14)
+
+
+def test_chord_threshold_is_every_pencil_plane_threshold():
+    # the quadratic-form threshold of b's chord is what `kernels` gives in
+    # each plane through it, for every state
+    for state, ell, rep in _rank3_draws(7, 400):
+        p, b = rep.point, state.b
+        result = criteria.analyze(ell, b, p=p, n_planes=60)
+        assert result.valid.any()
+        np.testing.assert_allclose(result.thresholds[result.valid], _chord_threshold(ell, p, b), rtol=0, atol=1e-10)
+
+
+def test_anisotropic_ellipsoid_takes_the_scan():
+    # an abstract tangent ellipsoid is not isotropic at p: no state has it,
+    # and its threshold depends on the plane, so its bounds are scanned
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        ell, p = sampling.random_tangent_ellipsoid(rng)
+        frame = criteria._frame(ell, criteria._contact(ell, p, None), p)
+        assert criteria._isotropic_bounds(*frame) is None
+        b = sampling.random_interior_point(rng, ell)
+        got = criteria.analyze(ell, b, p=p, n_planes=7).bounds
+        assert got.n_planes == 4 * 14
+        assert _bounds_fields(got) == _bounds_fields(criteria._full_bounds(*frame, (7, 14), True))
+
+
+def test_full_sphere_path_is_logged_not_printed(caplog, capsys):
+    state, ell, rep = sampling.random_tangent_state(np.random.default_rng(0))
+    abstract, p = sampling.random_tangent_ellipsoid(np.random.default_rng(0))
+    b = sampling.random_interior_point(np.random.default_rng(1), abstract)
+    with caplog.at_level(logging.DEBUG, logger="steerell"):
+        criteria.analyze(ell, state.b, p=rep.point, n_planes=7).bounds
+        criteria.analyze(abstract, b, p=p, n_planes=7).bounds
+    messages = [record.getMessage() for record in caplog.records if record.name == "steerell"]
+    assert len(messages) == 2
+    assert re.fullmatch(r"full-sphere bounds in closed form: anisotropy at p \S+", messages[0])
+    assert float(messages[0].rsplit(" ", 1)[1]) <= 1e-12
+    assert re.fullmatch(r"full-sphere bounds by the scan: anisotropy at p \S+", messages[1])
+    assert float(messages[1].rsplit(" ", 1)[1]) > 1e-2
+    assert capsys.readouterr() == ("", "")
+
+
+def test_the_library_leaves_logging_unimported():
+    # importing logging takes a fresh process about 7.5 ms, 5-6% of a CLI
+    # call's set-up; a DEBUG record reaches only a program that configured
+    # logging, which has imported it. The interpreter's start-up may import
+    # it itself, so the test compares before and after.
+    code = (
+        "import sys, numpy as np; before = 'logging' in sys.modules; "
+        "from steerell import criteria, sampling; "
+        "state, ell, rep = sampling.random_tangent_state(np.random.default_rng(0)); "
+        "criteria.analyze(ell, state.b, p=rep.point, n_planes=7).bounds; "
+        "print(before, 'logging' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    before, after = out.stdout.split()
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
