@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateEllipsoid, NotOnSurface, TangentPlane, EmptySection
 from .paulicore import TwoQubitState, finite_vec3
-from .tolerances import TOL_GEOM, TOL_SECULAR_GAP, TOL_TAU
+from .tolerances import TOL_CURVATURE, TOL_GEOM, TOL_SECULAR_GAP, TOL_TAU
 
 # status constants for TangencyReport
 SINGLE_TANGENT = "SingleTangent"
@@ -342,17 +342,22 @@ def surface_form(minv, centre, x):
 
 
 def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> np.ndarray:
-    """Raise NotOnSurface unless p is the contact point: on the unit sphere,
-    on the ellipsoid surface, and with the ellipsoid normal there along p,
-    so that every section through p is tangent to its v axis at p. Returns
-    the inverse shape matrix it tested p against. The checks run on Python
-    floats, and a NaN coordinate fails them."""
+    """Raise NotOnSurface unless p is the contact point of an ellipsoid inside
+    the ball: on the unit sphere, on the ellipsoid surface, with the
+    ellipsoid normal there along p, so that every section through p is
+    tangent to its v axis at p, and with the ellipsoid inside the ball near
+    p: g = W^-1 (p - c) points along p, and W^-1 on the tangent plane at p
+    has no eigenvalue below g.p (up to TOL_CURVATURE), i.e. no normal
+    curvature below the sphere's. Returns the inverse shape matrix it tested
+    p against. The checks run on Python floats, and a NaN coordinate fails
+    them."""
     x = np.asarray(p, dtype=float).tolist()
     norm = math.hypot(*x)
     if not abs(norm - 1.0) <= 1e-6:
         raise NotOnSurface(f"point is not on the unit sphere (|p| = {norm:.9f})")
     minv = ell.inverse_shape_matrix()
-    value, (g0, g1, g2) = surface_form(minv.tolist(), ell.centre.tolist(), x)
+    rows = minv.tolist()
+    value, (g0, g1, g2) = surface_form(rows, ell.centre.tolist(), x)
     if not abs(value) <= 1e-6:
         raise NotOnSurface(f"point is not on the ellipsoid surface (value {value:.3e})")
     x0, x1, x2 = x
@@ -361,6 +366,26 @@ def check_on_both_surfaces(ell: SteeringEllipsoid, p) -> np.ndarray:
     off = math.hypot(g1 * x2 - g2 * x1, g2 * x0 - g0 * x2, g0 * x1 - g1 * x0)
     if not off <= 1e-6 * math.hypot(g0, g1, g2):
         raise NotOnSurface("ellipsoid normal at the point is not along it; point must be the contact point")
+    if not g0 * x0 + g1 * x1 + g2 * x2 > 0.0:
+        raise NotOnSurface("ellipsoid lies beyond the tangent plane at the point: its outward normal points against p")
+    pn = n0, n1, n2 = [xi / norm for xi in x]
+    # e1, e2: an orthonormal basis of the tangent plane at pn (Duff et al.,
+    # "Building an orthonormal basis, revisited", JCGT 6, 2017)
+    sign = math.copysign(1.0, n2)
+    a = -1.0 / (sign + n2)
+    b = n0 * n1 * a
+    e1 = [1.0 + sign * n0 * n0 * a, sign * b, -sign * n0]
+    e2 = [b, sign + n1 * n1 * a, -n1]
+    w1, w2 = _mat3_vec(rows, e1), _mat3_vec(rows, e2)
+    a00, a01, a11 = _dot3(e1, w1), _dot3(e1, w2), _dot3(e2, w2)
+    least = 0.5 * (a00 + a11) - math.hypot(0.5 * (a00 - a11), a01)
+    # g.pn with g taken at pn: W^-1 (pn - c) = g - (|p| - 1) W^-1 pn
+    g_p = g0 * n0 + g1 * n1 + g2 * n2 - (norm - 1.0) * _dot3(pn, _mat3_vec(rows, pn))
+    if least < g_p - TOL_CURVATURE * (rows[0][0] + rows[1][1] + rows[2][2]):
+        raise NotOnSurface(
+            f"ellipsoid is flatter than the unit sphere at the point (least normal curvature {least / g_p:.9f}),"
+            " so it leaves the ball near it"
+        )
     return minv
 
 

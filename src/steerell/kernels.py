@@ -36,11 +36,11 @@ Kernels:
                   `criteria` takes margins, h points and, by
                   `pencil_thresholds`, each plane's threshold at b
   scan_grid       extremes of the per-plane probability bounds over the
-                  contact-frame polar grid of the full-sphere scan, in
-                  blocks of rows (`polar_grid`, `grid_blocks`) computed in
-                  place in a per-thread workspace of six block-sized arrays,
-                  0.8 MB, so that a warm scan takes no page faults (block
-                  size and measured fault counts at `scan_grid`)
+                  contact-frame polar grid of the full-sphere scan
+                  (`polar_grid`), each block of rows, SCAN_BLOCK = 2,048
+                  planes or one row, reduced by `reduce_terms` and bounded by
+                  `plane_bounds`; blocks this small take no page faults
+                  once warm (measurements at SCAN_BLOCK)
   scan_bounds     per-plane probability bounds for given world-frame normals
   scan_pencil     per-plane steerability thresholds over the pencil through b
                   from world-frame inputs: `pencil_planes` and
@@ -52,7 +52,6 @@ Kernels:
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -218,13 +217,9 @@ def reduce_terms(rows, cols):
     against the column terms."""
     s, c, cs, t, h, cot = rows
     n_s, n_c, w2, m_cs, g_w, g_cot = cols
-    nu = s * n_s
-    nu -= c * n_c
-    mu = cs * m_cs
-    mu -= t * w2
-    mu += h
-    ga = g_w - cot * g_cot
-    return mu, nu, ga
+    mu = cs * m_cs - t * w2 + h
+    nu = s * n_s - c * n_c
+    return mu, nu, g_w - cot * g_cot
 
 
 def reduce_planes(mp, gp, s, c, cos_b, sin_b):
@@ -271,24 +266,15 @@ def plane_bounds(mu, nu, ga):
     expressions give the values at k = 0 and at the axis-parallel limit
     k = inf (see `plane_slopes`).
     """
-    # (num -+ gamma^2 sqrt(mu^2 + nu^2)) / den, updated in place as in
-    # `reduce_planes`
+    # (num -+ gamma^2 sqrt(mu^2 + nu^2)) / den
     opg = 1.0 + ga
-    nu2 = nu * nu
-    spread = _sqrt(mu * mu + nu2)
-    nu2 *= opg
     g2 = ga * ga
-    spread *= g2
-    num = 1.0 - ga - nu2 - mu * (2.0 - g2)
-    den = 2.0 * mu + nu2
-    den *= -opg
-    den += 1.0
-    del opg, nu2, g2
-    lo = num - spread
-    lo /= den
-    num += spread
-    num /= den
-    return lo, num
+    nu2 = nu * nu
+    spread = _sqrt(mu * mu + nu2) * g2
+    tilt = nu2 * opg
+    num = 1.0 - ga - tilt - mu * (2.0 - g2)
+    den = 1.0 - opg * (2.0 * mu + tilt)
+    return (num - spread) / den, (num + spread) / den
 
 
 def plane_slopes(mu, nu):
@@ -349,61 +335,14 @@ def pencil_thresholds(planes):
     return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
 
 
-# Planes per block of `scan_grid` and `scan_bounds`. A `scan_grid` block of
-# floor(SCAN_BLOCK / n_phi) rows, 16,200 planes at n_phi = 360, is computed in
-# place in the thread's workspace (`_workspace`): 2 blocks at (180, 360), and
-# no page faults once warm, where fresh blocks this large took 348 faults a
-# call (`scan_grid` has the measurements).
-SCAN_BLOCK = 16384
-
-# per-thread scratch of `grid_blocks`: concurrent scans must not share it
-_local = threading.local()
-
-
-def _workspace(rows, n_phi):
-    """Six (rows, n_phi) float64 arrays for one `grid_blocks` block: views of
-    this thread's (6, max(SCAN_BLOCK, rows n_phi)) buffer, allocated on the
-    thread's first scan and again only when a block needs more room."""
-    size = rows * n_phi
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.shape[1] < size:
-        buf = _local.buf = np.empty((6, max(SCAN_BLOCK, size)))
-    return buf[:, :size].reshape(6, rows, n_phi)
-
-
-def _block_bounds(rows, cols, work):
-    """`plane_bounds(*reduce_terms(rows, cols))`, computed with the same
-    operations in the same order, so bit for bit the same, but written with
-    `out=` into the six arrays of `work`. Returns views (lo, hi) into it.
-    The tests hold it to a whole-array evaluation of those two functions."""
-    s, c, cs, t, h, cot = rows
-    n_s, n_c, w2, m_cs, g_w, g_cot = cols
-    nu, mu, ga, opg, nu2, tmp = work
-    mul, sub, add = np.multiply, np.subtract, np.add
-    # reduce_terms
-    mul(s, n_s, out=nu)
-    sub(nu, mul(c, n_c, out=tmp), out=nu)
-    mul(cs, m_cs, out=mu)
-    sub(mu, mul(t, w2, out=tmp), out=mu)
-    add(mu, h, out=mu)
-    sub(g_w, mul(cot, g_cot, out=tmp), out=ga)
-    # plane_bounds; each array is reused once its value is dead
-    add(1.0, ga, out=opg)
-    mul(nu, nu, out=nu2)
-    spread = np.sqrt(add(mul(mu, mu, out=nu), nu2, out=nu), out=nu)
-    mul(nu2, opg, out=nu2)
-    g2 = mul(ga, ga, out=tmp)
-    mul(spread, g2, out=spread)
-    num = sub(sub(1.0, ga, out=ga), nu2, out=ga)
-    sub(num, mul(mu, sub(2.0, g2, out=tmp), out=tmp), out=num)
-    den = add(mul(2.0, mu, out=mu), nu2, out=mu)
-    mul(den, np.negative(opg, out=opg), out=den)
-    add(den, 1.0, out=den)
-    lo = sub(num, spread, out=opg)
-    np.divide(lo, den, out=lo)
-    add(num, spread, out=num)
-    np.divide(num, den, out=num)
-    return lo, num
+# Planes per block of `scan_grid` and `scan_bounds`. glibc gives the free top
+# of its heap back to the OS once it exceeds the trim threshold (128 KB, or
+# twice the largest mmap chunk freed so far), and the next call faults those
+# pages in again. Blocks of 16 KB arrays keep what a warm call frees below
+# the threshold, so it takes no page faults. At 4,096 planes a (180, 360)
+# `scan_grid` call took 92 faults in a process that had freed nothing larger,
+# and a 32,400-normal `scan_bounds` call up to 35, by the environment.
+SCAN_BLOCK = 2048
 
 
 def polar_grid(n_theta, n_phi):
@@ -421,30 +360,6 @@ def polar_grid(n_theta, n_phi):
     return a, b
 
 
-def grid_blocks(mp, gp, n_theta, n_phi):
-    """Per-plane bounds over the `polar_grid` planes, in blocks of rows.
-
-    Yields (start, lo, hi): lo and hi are (rows, n_phi) arrays of the
-    per-plane (p_min, p_max) of the planes numbered start, start + 1, ... in
-    row-major order. They are views into the thread's workspace, valid only
-    until the next block is yielded: copy a block to keep it. Rows with
-    sin(a)^2 <= 1e-12, nearer the tangent plane than `polar_factors` admits,
-    are skipped; only n_theta above 1.5 million has one.
-    """
-    a, b = polar_grid(n_theta, n_phi)
-    s = np.sin(a)
-    # s grows with a, so the skipped rows come first
-    first = int(np.count_nonzero(s * s <= _R2_EPS))
-    rows = row_terms(mp, s[first:, None], np.cos(a[first:])[:, None])
-    cols = column_terms(mp, gp, np.cos(b), np.sin(b))
-    n_rows = len(rows[0])
-    step = max(1, SCAN_BLOCK // n_phi)
-    work = _workspace(min(step, n_rows), n_phi)
-    for i in range(0, n_rows, step):
-        block = [term[i : i + step] for term in rows]
-        yield (first + i) * n_phi, _block_bounds(block, cols, work[:, : len(block[0])])
-
-
 def scan_grid(mp, gp, n_theta, n_phi):
     """(lo_min, i_min, hi_max, i_max, n_planes) over the planes of
     `polar_grid(n_theta, n_phi)` through the contact point.
@@ -454,39 +369,32 @@ def scan_grid(mp, gp, n_theta, n_phi):
     per-plane p_max, i_min and i_max the first planes attaining them, and
     n_planes the number of planes scanned.
 
-    The column terms of the reduction are computed once per call. Each block
-    of floor(SCAN_BLOCK / n_phi) rows, 16,200 planes at n_phi = 360, costs
-    about 33 array passes: about 9 for (mu, nu, gamma), 22 for
-    `plane_bounds` and one each for the two extremes. Reducing rotated
-    Cartesian normals took about 48 for (mu, nu, gamma) alone. Every
-    arithmetic pass writes with `out=` into six block-sized arrays of the
-    thread's workspace (0.8 MB at the default block; more only when one row
-    of n_phi planes exceeds SCAN_BLOCK), so a warm call allocates no
-    per-plane array, and the results are bit-identical to
-    `plane_bounds(*reduce_terms(...))` on the whole grid.
-
-    Block size and allocation were both measured on a 2-vCPU box with
-    numpy 2.4, as minor page faults per warm unrefined (180, 360)
-    `criteria.p_bounds` call over 30 tangent states. Evaluated whole, the
-    32,400-plane scan built about 3 MB of 259 KB temporaries per call,
-    which glibc returned to the OS after each call: 727-863 faults. Fresh
-    blocks of 3,960 planes, each temporary below glibc's 128 KB mmap
-    threshold, took 0-3 faults but paid numpy's per-call overhead on 9
-    blocks. Fresh blocks of 16,200 planes cross that threshold and took 348
-    faults. In the workspace the same 2 blocks take 0, and the kernel runs
-    about a quarter faster than on 9 fresh blocks (`timeit`, medians over
-    10 tangent states, 0.68-0.79 against 0.84-1.06 ms).
+    The column terms of the reduction are computed once per call, and each
+    block of floor(SCAN_BLOCK / n_phi) rows (at least one) is
+    `plane_bounds(*reduce_terms(...))`, so the extremes are those of one
+    whole-array evaluation, bit for bit. Rows with sin(a)^2 <= 1e-12, nearer
+    the tangent plane than `polar_factors` admits, are skipped; only n_theta
+    above 1.5 million has one.
     """
-    lo_min, i_min, hi_max, i_max, n = math.inf, 0, -math.inf, 0, 0
-    for start, (lo, hi) in grid_blocks(mp, gp, n_theta, n_phi):
+    a, b = polar_grid(n_theta, n_phi)
+    s = np.sin(a)
+    # s grows with a, so the skipped rows come first
+    first = int(np.count_nonzero(s * s <= _R2_EPS))
+    rows = row_terms(mp, s[first:, None], np.cos(a[first:])[:, None])
+    cols = column_terms(mp, gp, np.cos(b), np.sin(b))
+    n_rows = len(a) - first
+    step = max(1, SCAN_BLOCK // n_phi)
+    lo_min, i_min, hi_max, i_max = math.inf, 0, -math.inf, 0
+    for i in range(0, n_rows, step):
+        lo, hi = plane_bounds(*reduce_terms([term[i : i + step] for term in rows], cols))
+        start = (first + i) * n_phi
         j = int(lo.argmin())
         if lo.flat[j] < lo_min:
             lo_min, i_min = float(lo.flat[j]), start + j
         j = int(hi.argmax())
         if hi.flat[j] > hi_max:
             hi_max, i_max = float(hi.flat[j]), start + j
-        n += lo.size
-    return lo_min, i_min, hi_max, i_max, n
+    return lo_min, i_min, hi_max, i_max, n_rows * n_phi
 
 
 def scan_bounds(minv, centre, p, normals):

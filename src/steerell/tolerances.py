@@ -28,6 +28,12 @@ TOL_SECULAR_GAP = 1e-7
 # by at most tau^2 / 2.
 TOL_TAU = 1e-7
 
+# ellipsoid.check_on_both_surfaces, relative to tr W^-1, the scale of its
+# rounding: how far the least eigenvalue of W^-1 on the tangent plane at p
+# may fall below g.p. They are equal on the unit sphere and on maximally
+# obese states, which fall below by up to 4.9e-9 g.p at c = 1 - 1e-7.
+TOL_CURVATURE = 1e-9
+
 # verdicts with |margin| below this band are reported indeterminate
 BOUNDARY_BAND = 1e-8
 

@@ -359,6 +359,42 @@ def test_pure_state_probability_requires_the_contact_point():
             pure_state_probability(surface, p, b)
 
 
+def _ellipsoids_leaving_the_ball():
+    """(ellipsoid, message) for ellipsoids through P_TOP with their normal
+    along it there, which leave the ball at P_TOP, with the NotOnSurface
+    message each must raise."""
+    flatter = "^ellipsoid is flatter than the unit sphere at the point"
+    return [
+        # touches from outside: analyze returned p_min 0.0 and p_max -1.0,
+        # and p_bounds scanned (0.0, -0.9999999999999987)
+        (ellipsoid_from_geometry([0.0, 0.0, -1.0], [2.0, 2.0, 2.0]), flatter),
+        # flatter than the sphere along x alone
+        (ellipsoid_from_geometry([0.0, 0.0, 0.5], [1.2, 0.4, 0.5]), flatter),
+        # the centre beyond the tangent plane
+        (ellipsoid_from_geometry([0.0, 0.0, 2.0], [1.0, 1.0, 1.0]), "^ellipsoid lies beyond the tangent plane"),
+        (ellipsoid_from_geometry([0.0, 0.0, 1.5], [0.7, 0.6, 0.5]), "^ellipsoid lies beyond the tangent plane"),
+    ]
+
+
+def test_an_ellipsoid_leaving_the_ball_at_p_is_rejected():
+    calls = {
+        "pure_state_probability": lambda ell, b: pure_state_probability(ell, P_TOP, b),
+        "analyze": lambda ell, b: criteria.analyze(ell, b, p=P_TOP, n_planes=12),
+        "full-sphere p_bounds": lambda ell, b: p_bounds(ell, p=P_TOP, resolution=(7, 14)),
+        "pencil p_bounds": lambda ell, b: p_bounds(ell, p=P_TOP, b=b, resolution=(7, 14)),
+        "locus_of_h": lambda ell, b: locus_of_h(ell, b, n_planes=12, p=P_TOP),
+        "plane_section": lambda ell, b: plane_section(ell, P_TOP, [0.0, 1.0, 0.0]),
+    }
+    for ell, message in _ellipsoids_leaving_the_ball():
+        # on both surfaces, with the normal along P_TOP: the old contact test
+        assert abs(ell.surface_value(P_TOP)) <= 1e-12
+        grad = ell.inverse_shape_matrix() @ (P_TOP - ell.centre)
+        assert np.linalg.norm(np.cross(grad, P_TOP)) <= 1e-12
+        for call in calls.values():
+            with pytest.raises(NotOnSurface, match=message):
+                call(ell, ell.centre)
+
+
 def test_degenerate_section_rejected():
     flat = PlaneSection(
         point=P_TOP,

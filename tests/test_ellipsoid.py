@@ -386,6 +386,31 @@ def test_section_requires_surface_point():
         plane_section(ell, np.array([0, 0, 1.0]), np.array([1.0, 0, 0]))
 
 
+def test_contact_check_admits_the_ball_and_its_osculating_ellipsoids():
+    # the unit sphere and maximally obese states touch with the sphere's
+    # curvature; rounding must not make them flatter
+    p = np.array([0.0, 0.0, 1.0])
+    unit = ellipsoid_from_geometry([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    for point in (p, p * (1.0 + 1e-7), [1e-4, -2e-4, np.sqrt(1.0 - 5e-8)]):
+        npt.assert_array_equal(ellipsoid.check_on_both_surfaces(unit, point), unit.inverse_shape_matrix())
+    for r in (0.3, 0.999999):
+        ellipsoid.check_on_both_surfaces(ellipsoid_from_geometry([0.0, 0.0, 1.0 - r], [r, r, r]), p)
+    # a sphere of radius 1 + 1e-6 touching at p is flatter by 1e-6
+    with pytest.raises(NotOnSurface, match="^ellipsoid is flatter than the unit sphere"):
+        ellipsoid.check_on_both_surfaces(ellipsoid_from_geometry([0.0, 0.0, -1e-6], [1.0 + 1e-6] * 3), p)
+    rng = np.random.default_rng(5)
+    for c in (1e-6, 0.5, 0.999, 1.0 - 1e-6, 1.0 - 1e-7):
+        state = families.obese_state(c)
+        ell, _b, top = families.obese_geometry(c)
+        ellipsoid.check_on_both_surfaces(ell, top)
+        for _ in range(20):
+            ra, rb = _rotation(rng), _rotation(rng)
+            ell = steering_ellipsoid(state_from_pauli(ra @ state.a, rb @ state.b, ra @ state.T @ rb.T))
+            rep = tangency(ell)
+            assert rep.status == SINGLE_TANGENT
+            ellipsoid.check_on_both_surfaces(ell, rep.point)
+
+
 def test_section_rejects_tangent_plane():
     ell, _b, p = families.spheroid_geometry(0.5, 0.4)
     with pytest.raises(TangentPlane):
