@@ -9,22 +9,24 @@ section ellipse; expanding that containment gives a signed margin
     margin = 2 R (gamma^2 + beta (1 + gamma) v_b) u_b
              - (1 - 2 R alpha (1 + gamma)) u_b^2 - v_b^2 > 0.
 
-Scanning planes also bounds the admissible probability p of the pure steered
+The thresholds also bound the admissible probability p of the pure steered
 state: per plane the extremal thresholds over chord slopes are attained at
 the two stationary slopes (or at slope 0 and the axis-parallel limit when
-beta = 0), and the global extrema over planes give (p_min, p_max) such that
+beta = 0), and the extrema over all planes give (p_min, p_max) such that
 p > p_max is sufficient and p > p_min necessary for steerability.
 
-When the ellipsoid is isotropic at p, as every state's is, a chord's
-threshold is the same in every plane through it, a ratio of two quadratic
-forms in the chord direction, and `analyze` takes the full-sphere bounds
-from it in closed form (`_isotropic_bounds`), scanning no plane. Public
-`p_bounds`, and `analyze` on an ellipsoid that is anisotropic at p, scan.
+A chord's threshold depends on the plane through it only through v^T M' v,
+v the plane's axis in the tangent plane at p, which ranges over the two
+eigenvalues of M''s tangent block. So both bounds, over every plane through
+p (`_ellipsoid_bounds`) and over the pencil through b (`_chord_bounds`),
+are closed forms for every tangent ellipsoid, and no plane is scanned for
+them.
 
 Every verdict and bound here comes from the per-plane formulas of `kernels`:
 one plane's (alpha, beta, gamma) from its ellipse invariants
-(`kernels.ellipse_invariants`), the scans' from the contact-frame reduction,
-and the closed form from the same reduction read in every plane at once.
+(`kernels.ellipse_invariants`), the pencil's from the contact-frame
+reduction, and the closed forms from the same reduction read in every plane
+at once.
 The homology of `projective`, the paper's construction, is the tests'
 reference for them; this module does not use it.
 """
@@ -46,9 +48,9 @@ from .ellipsoid import (
     plane_section,  # noqa: F401  (perfbench/test_perfbench.py reads criteria.plane_section)
     surface_form,
 )
-from .errors import BOutsideEllipsoid, DegeneratePlane, InvalidReducedState
+from .errors import BOutsideEllipsoid, DegeneratePlane, InvalidReducedState, NotNested
 from .paulicore import require_finite
-from .tolerances import BOUNDARY_BAND, TOL_ANISOTROPY, TOL_GEOM
+from .tolerances import BOUNDARY_BAND, TOL_GEOM
 
 ALL_INSIDE = "AllInside"
 CROSSING = "Crossing"
@@ -87,7 +89,11 @@ class LocusResult:
 
 @dataclass(frozen=True)
 class ProbBounds:
-    """Global bounds on the pure-state probability over scanned planes."""
+    """Bounds on the pure-state probability over every plane through p
+    (mode "ellipsoid") or over the pencil of planes through p and b (mode
+    "pencil"), in closed form. The arg-normals are the normals of planes
+    that attain them; n_planes is 0 for the full sphere, which scans none,
+    and the count of valid pencil planes in pencil mode."""
 
     p_min: float
     p_max: float
@@ -101,11 +107,9 @@ class ProbBounds:
 class Analysis:
     """What `analyze` derives from one contact check and one pencil pass.
 
-    The two bounds are computed the first time they are read, on the
-    contact frame and the pencil pass that `analyze` holds, so a caller that
-    reports one of them does not pay for the other. The full-sphere bounds
-    are in closed form, with n_planes 0, when the ellipsoid is isotropic at
-    p (`_isotropic_bounds`).
+    The two bounds are computed the first time they are read, in closed
+    form on the contact frame and the pencil pass that `analyze` holds, so a
+    caller that reports one of them does not pay for the other.
     """
 
     pure_state_probability: float
@@ -117,19 +121,14 @@ class Analysis:
 
     @cached_property
     def bounds(self) -> ProbBounds:
-        """Full-sphere bounds: in closed form (`_isotropic_bounds`) when the
-        ellipsoid is isotropic at p, as every state's is, and otherwise on
-        the (n, 2n) grid, refined."""
-        bounds = _isotropic_bounds(*self._frame)
-        if bounds is None:
-            n_planes = len(self._pass.ts)
-            bounds = _full_bounds(*self._frame, (n_planes, 2 * n_planes), True)
-        return bounds
+        """Full-sphere bounds, `_ellipsoid_bounds`."""
+        return _ellipsoid_bounds(*self._frame)
 
     @cached_property
     def bounds_pencil(self) -> ProbBounds:
-        """Bounds over the n pencil planes, refined."""
-        return _pencil_bounds(*self._frame, self._pass, self.thresholds, self.valid, True)
+        """Bounds over the pencil through b, `_chord_bounds`; n_planes counts
+        the pencil planes where b's chord is valid."""
+        return _chord_bounds(*self._frame, self._pass.frame[2], int(self.valid.sum()))
 
 
 def _section_invariants(section: PlaneSection):
@@ -245,7 +244,7 @@ def _contact(ell: SteeringEllipsoid, p, b):
 
 def _frame(ell: SteeringEllipsoid, minv, p):
     """(Q, M', g'), the contact frame of `kernels.contact_frame`, with M' and
-    g' as Python floats for the scans and the refinement."""
+    g' as Python floats for the pencil pass and the closed forms."""
     q, mp, gp = kernels.contact_frame(minv, ell.centre, p)
     return q, mp.tolist(), gp.tolist()
 
@@ -344,88 +343,6 @@ def p_bounds_in_plane(section: PlaneSection) -> PlaneBounds:
     )
 
 
-# Newton polish: central-difference step, floor of the Hessian's
-# eigenvalues, step cap, the step length it stops at, and a cap on steps
-_FD_STEP = 1e-5
-_EIG_FLOOR = 1e-8
-_MAX_STEP = 0.05
-_MIN_STEP = 1e-7
-_MAX_ITERATIONS = 200
-
-
-def _newton_polish(fun, x, fx):
-    """Minimise fun over one or two coordinates by damped Newton steps,
-    started at the tuple x with its known value fx = fun(x).
-
-    Gradient and Hessian come from central differences with step 1e-5
-    (three values in 1-D, six in 2-D), the Hessian's eigenvalues floored at
-    1e-8 so that each step goes downhill. A step is capped at 0.05 and
-    halved until it lowers the value or is shorter than 1e-7: in a flat,
-    curved valley even a straight step of 2e-4 can climb the valley wall,
-    and stopping there left p_min up to 2.5e-10 high. The polish stops after
-    a step shorter than 1e-7, on a step that no halving made lower, on a
-    non-finite value in the stencil (near-tangent planes evaluate to +inf),
-    or after 200 steps. Where the curvature is below the rounding noise of
-    the central differences (about 1e-6 here), the steps stay short: from
-    a grid extreme near the pole of the full-sphere chart, one polish took
-    74 steps along a valley flat to 4e-9 over a radian, and a cap of 50
-    left p_max 1.2e-9 low. Returns the best (x, fun(x)) evaluated, so never
-    a worse point than the start.
-    """
-    h = _FD_STEP
-    best_x, best_f = x, fx
-    for _ in range(_MAX_ITERATIONS):
-        if len(x) == 1:
-            (t,) = x
-            stencil = [(t + h,), (t - h,)]
-        else:
-            a, b = x
-            stencil = [(a + h, b), (a - h, b), (a, b + h), (a, b - h), (a + h, b + h), (a - h, b - h)]
-        values = [fun(point) for point in stencil]
-        for point, value in zip(stencil, values):
-            if value < best_f:
-                best_x, best_f = point, value
-        if not all(map(math.isfinite, values)):
-            break
-        if len(x) == 1:
-            fp, fm = values
-            curv = (fp - 2.0 * fx + fm) / (h * h)
-            step = (-(fp - fm) / (2.0 * h) / max(curv, _EIG_FLOOR),)
-        else:
-            fap, fam, fbp, fbm, fpp, fmm = values
-            ga, gb = (fap - fam) / (2.0 * h), (fbp - fbm) / (2.0 * h)
-            haa = (fap - 2.0 * fx + fam) / (h * h)
-            hbb = (fbp - 2.0 * fx + fbm) / (h * h)
-            hab = (fpp - fap - fbp + 2.0 * fx - fam - fbm + fmm) / (2.0 * h * h)
-            # eigenvalues mid +- rad along (c, s) and (-s, c)
-            mid, rad = 0.5 * (haa + hbb), math.hypot(0.5 * (haa - hbb), hab)
-            angle = 0.5 * math.atan2(2.0 * hab, haa - hbb)
-            c, s = math.cos(angle), math.sin(angle)
-            k1 = (c * ga + s * gb) / max(mid + rad, _EIG_FLOOR)
-            k2 = (c * gb - s * ga) / max(mid - rad, _EIG_FLOOR)
-            step = (s * k2 - c * k1, -s * k1 - c * k2)
-        length = math.hypot(*step)
-        if length > _MAX_STEP:
-            step = tuple(si * (_MAX_STEP / length) for si in step)
-            length = _MAX_STEP
-        while True:
-            trial = tuple(xi + si for xi, si in zip(x, step))
-            f_trial = fun(trial)
-            # written to end the halvings on a NaN step as well
-            if f_trial < fx or not length >= _MIN_STEP:
-                break
-            step = tuple(0.5 * si for si in step)
-            length *= 0.5
-        if not f_trial < fx:
-            break
-        x, fx = trial, f_trial
-        if fx < best_f:
-            best_x, best_f = x, fx
-        if length < _MIN_STEP:
-            break
-    return best_x, best_f
-
-
 def p_bounds(
     ell: SteeringEllipsoid,
     *,
@@ -434,28 +351,19 @@ def p_bounds(
     resolution: tuple[int, int] = (180, 360),
     refine: bool = True,
 ) -> ProbBounds:
-    """Global probability bounds over plane scans.
+    """Probability bounds over planes through the contact point p, in closed
+    form (`_ellipsoid_bounds`, `_chord_bounds`).
 
-    With b=None every plane through the contact point p is scanned on the
-    contact-frame polar grid of `kernels.polar_grid`: normals (x, y, d) =
-    (sin a cos b, sin a sin b, cos a) in the frame of `kernels.contact_frame`,
-    with a_i = (i + 1/2) pi / n_theta for i < ceil(n_theta / 2) and
-    b_j = 2 pi j / n_phi, one normal per plane since n and -n give the same
-    plane. The per-plane extremal thresholds over all chord slopes are
-    aggregated (sufficient / necessary bounds for steerability of any reduced
-    point); n_planes counts the planes scanned, ceil(n_theta / 2) n_phi.
-    With b given, only the pencil of planes containing the line p b is
-    scanned and the per-plane threshold is evaluated at b's own chord slope,
-    which bounds the thresholds actually faced by that reduced point;
-    n_planes counts the pencil planes where b's chord is valid.
+    With b=None they are over every plane through p: p > p_max is
+    sufficient and p > p_min necessary for the steerability of any reduced
+    point; n_planes is 0. With b given they are over the pencil of planes
+    containing the line p b, at b's own chord, which bounds the thresholds
+    actually faced by that reduced point; n_planes counts the planes of the
+    max(resolution)-plane pencil where b's chord is valid. p_min is clamped
+    at 0, and p_min <= p_max holds in floating point.
 
-    With refine=True each grid extreme is polished by `_newton_polish`,
-    started at the grid point with its grid value, so no refined bound is
-    worse than the grid's. In full-sphere mode it runs over the polar angles
-    (a, b) of the grid; the chart needs no wrapping, as the threshold is even
-    in the normal, and its pole a = 0 is the tangent plane. Planes with
-    R = |sin a| < 5e-3 count as +inf there. In pencil mode it runs over the
-    pencil angle t. The global minimum is clamped at 0.
+    The bounds are exact, so neither `resolution`, beyond that count, nor
+    `refine` changes them; both are still accepted.
 
     Raises NotOnSurface unless p is the contact point, BOutsideEllipsoid
     when b is outside the ellipsoid, InvalidReducedState when b is at p or
@@ -466,20 +374,19 @@ def p_bounds(
         b = require_finite(np.asarray(b, dtype=float), "b")
     q, mp, gp = _frame(ell, _contact(ell, p, b), p)
     if b is None:
-        return _full_bounds(q, mp, gp, resolution, refine)
+        return _ellipsoid_bounds(q, mp, gp)
     pencil = _pencil_pass(q, mp, gp, p, b, max(resolution))
-    return _pencil_bounds(q, mp, gp, pencil, *kernels.pencil_thresholds(pencil.planes), refine)
+    _, valid = kernels.pencil_thresholds(pencil.planes)
+    return _chord_bounds(q, mp, gp, pencil.frame[2], int(valid.sum()))
 
 
 def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
     """`pure_state_probability`, `locus_of_h` over n_planes pencil planes,
-    the full-sphere bounds and pencil `p_bounds` over the same n_planes
-    planes, refined, from one contact check and one reduction of the pencil.
+    and the full-sphere and pencil `p_bounds`, the pencil's plane count over
+    the same n_planes planes, from one contact check and one reduction of
+    the pencil.
 
-    The full-sphere bounds are the closed form of `_isotropic_bounds` when
-    the ellipsoid is isotropic at p, as every state's is, and otherwise
-    full-sphere `p_bounds` at resolution (n_planes, 2 n_planes), refined.
-    The other results equal those of the separate calls. The pencil pass
+    The results equal those of the separate calls. The pencil pass
     gives the margins, the h points and, per plane, the threshold at b's
     chord slope: b is steerable in a plane iff p_p exceeds its threshold.
     The two bounds are computed on first read (`Analysis.bounds`,
@@ -522,154 +429,160 @@ def _debug(message, *args):
         logging.getLogger("steerell").debug(message, *args)
 
 
-def _isotropic_bounds(q, mp, gp):
+# A state's ellipsoid is isotropic at p (M'00 = M'11, M'01 = 0): rounding
+# splits the eigenvalues of M''s tangent block by at most 2.5e-14 of the
+# larger on 3,000 random tangent states. Below this split they count as
+# equal, and the full-sphere bounds take the 2x2 form.
+_EQUAL_TANGENT = 1e-12
+
+
+def _tangent_axes(mp):
+    """(lam1, v1, lam2, v2): the eigenvalues lam1 <= lam2 of M''s tangent
+    block [[M'00, M'01], [M'01, M'11]], mid -+ hypot, and their unit
+    eigenvectors as contact-frame 3-vectors."""
+    (m00, m01, _), (_, m11, _), _ = mp
+    mid, rad = 0.5 * (m00 + m11), math.hypot(0.5 * (m00 - m11), m01)
+    angle = 0.5 * math.atan2(2.0 * m01, m00 - m11)
+    c, s = math.cos(angle), math.sin(angle)
+    return mid - rad, np.array([-s, c, 0.0]), mid + rad, np.array([c, s, 0.0])
+
+
+def _plane_normal(q, v, w, other):
+    """World-frame unit normal of span(v, w), the plane through p whose axis
+    in the tangent plane is v and which holds the chord w (contact frame).
+    A w along v lies in every plane holding v; this is then span(v, p),
+    whose normal is the other tangent axis."""
+    normal = kernels.cross3(v, w)
+    length = math.sqrt(normal @ normal)
+    if length <= 1e-12 * math.sqrt(w @ w):
+        return other @ q
+    return (normal / length) @ q
+
+
+def _definite_extreme(n, d, i):
+    """(value, w): the i-th generalized eigenvalue of (n, d), in ascending
+    order, and its eigenvector, from `eigh` of the symmetric standard form
+    L^-1 n L^-T, d = L L^T. Raises NotNested when d is not definite."""
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(d))
+    except np.linalg.LinAlgError:
+        raise NotNested("the ellipsoid leaves the ball: its chord pencil is not definite") from None
+    values, vectors = np.linalg.eigh(inv @ n @ inv.T)
+    return float(values[i]), inv.T @ vectors[:, i]
+
+
+def _ellipsoid_bounds(q, mp, gp):
     """Full-sphere bounds in closed form from the contact frame (Q, M', g')
-    of `_contact`, or None when the ellipsoid is anisotropic at p
-    (`TOL_ANISOTROPY`) or the pencil (N, D) below is not definite; the
-    bounds are then scanned.
+    of `_contact`, for every tangent ellipsoid.
 
-    With m = M'00 = M'11 (M'01 = 0), g = g'2 and kappa = g / m, b's chord
-    from p in direction w has the threshold
+    With g = g'2 and N = M' - g I, b's chord from p in direction w has, in
+    the plane through it whose axis in the tangent plane at p is the unit v,
+    the threshold (`kernels.pencil_threshold`; see the header of `kernels`)
 
-        t(w) = w^T N w / w^T D w,   N = M' - g I,   D = (1 + kappa) M' - g I,
+        t(w; V) = A / (A + (g / V) B),   A = w^T N w,   B = w^T M' w,
 
-    in every plane through the chord: in a plane whose axis in the tangent
-    plane at p is v, `kernels.pencil_threshold` reads
-    w^T N w / (w^T N w + (g / v^T M' v) w^T M' w), and isotropy makes
-    v^T M' v = m for every v. Nesting makes N positive semidefinite, so D is
-    definite and the bounds are the extreme generalized eigenvalues of
-    (N, D). The tangent direction e_perp orthogonal to (M'02, M'12) is an
-    eigenvector of both, with eigenvalue 1 - kappa. On the span of
-    e_par = (M'02, M'12) / h and p, h = |(M'02, M'12)|, the pencil (N2, D2)
-    in standard form is S = L^-1 N2 L^-T with D2 = L L^T, and 1 - kappa is
-    S's first diagonal entry, so it lies between S's eigenvalues: they are
-    the bounds. They are mid -+ hypot((S00 - S11) / 2, S01), a discriminant
-    with no cancellation; the roots of det(N2 - lambda D2) = 0 by the
-    quadratic formula lost half their digits at the double root of a sphere
-    (8.6e-9 at r = 0.4). When h = 0, one of them is 1 - kappa: the limit of
-    the threshold as the chord tends to e_par, a tangent direction. p_min is
-    clamped at 0, as in `p_bounds`.
+    with V = v^T M' v. Every pair (v, w), w off the tangent plane, is a
+    plane through p, so over all planes V ranges over the eigenvalues
+    lam1 <= lam2 of M''s tangent block, and t increases with V: p_min is
+    the least generalized eigenvalue of (N, N + (g / lam1) M') and p_max
+    the greatest of (N, N + (g / lam2) M'). Nesting makes N positive
+    semidefinite, so both pencils are definite; an ellipsoid that leaves
+    the ball can make them indefinite, and raises NotNested.
 
-    No plane is scanned, so n_planes is 0. Both attaining chords lie in the
-    span of e_par and p, so argmin_normal and argmax_normal (two arrays) are
-    e_perp in the world frame, the normal of the plane through p that holds
-    them. When h = 0, e_par is Q's first axis.
+    Where lam1 = lam2 = m up to rounding (`_EQUAL_TANGENT`), as for every
+    state, the two pencils are one, (N, D) with D = (1 + kappa) M' - g I and
+    kappa = g / m. The tangent direction e_perp orthogonal to (M'02, M'12)
+    is an eigenvector of both N and D, with eigenvalue 1 - kappa. On the
+    span of e_par = (M'02, M'12) / h and p, h = |(M'02, M'12)|, the pencil
+    (N2, D2) in standard form is S = L^-1 N2 L^-T with D2 = L L^T, and
+    1 - kappa is S's first diagonal entry, so it lies between S's
+    eigenvalues: they are the bounds, mid -+ hypot((S00 - S11) / 2, S01), a
+    discriminant with no cancellation. The roots of det(N2 - lambda D2) = 0
+    by the quadratic formula lost half their digits at the double root of a
+    sphere (8.6e-9 at r = 0.4), and a cubic formula has the same loss, so
+    otherwise each 3x3 pencil goes to `eigh` in standard form
+    (`_definite_extreme`). When h = 0, one bound is 1 - kappa: the limit of
+    the threshold as the chord tends to e_par, a tangent direction.
+
+    p_min is clamped at 0, as in `p_bounds`, and p_max at p_min: the
+    attaining chord of p_min has t(w; lam2) >= p_min, so only rounding
+    could order them the other way. No plane is scanned, so n_planes is 0.
+    argmin_normal and argmax_normal are the world-frame normals of the
+    planes span(v_i, w*) that attain them (`_plane_normal`); in the 2x2
+    form both attaining chords lie in the span of e_par and p, whose normal
+    is e_perp, and e_par is Q's first axis when h = 0.
     """
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
-    anisotropy = max(abs(m00 - m11), 2.0 * abs(m01)) / m00
-    if anisotropy > TOL_ANISOTROPY:
-        _debug("full-sphere bounds by the scan: anisotropy at p %.3e", anisotropy)
-        return None
-    m, g = 0.5 * (m00 + m11), gp[2]
-    kappa = g / m
-    h = math.hypot(m02, m12)
-    # N2 and D2 on (e_par, p); D2's first entry (1 + kappa) m - g is m
-    n00, n01, n11 = m - g, h, m22 - g
-    d00, d01, d11 = m, (1.0 + kappa) * h, (1.0 + kappa) * m22 - g
-    det_d = d00 * d11 - d01 * d01
-    if not det_d > 0.0:
-        _debug("full-sphere bounds by the scan: det D2 = %.3e, anisotropy at p %.3e", det_d, anisotropy)
-        return None
-    # S = L^-1 N2 L^-T for the Cholesky factor L of D2; r = L10 / L00
-    r = d01 / d00
-    s00 = n00 / d00
-    s01 = (n01 - r * n00) / math.sqrt(det_d)
-    s11 = (n11 - r * (2.0 * n01 - r * n00)) * d00 / det_d
-    mid, rad = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), s01)
-    cos_p, sin_p = (m02 / h, m12 / h) if h > 0.0 else (1.0, 0.0)
-    normal = cos_p * q[1] - sin_p * q[0]
-    _debug("full-sphere bounds in closed form: anisotropy at p %.3e", anisotropy)
+    lam1, v1, lam2, v2 = _tangent_axes(mp)
+    g = gp[2]
+    if lam2 - lam1 <= _EQUAL_TANGENT * lam2:
+        branch = "2x2"
+        (m00, _, m02), (_, m11, m12), (_, _, m22) = mp
+        m = 0.5 * (m00 + m11)
+        kappa = g / m
+        h = math.hypot(m02, m12)
+        # N2 and D2 on (e_par, p); D2's first entry (1 + kappa) m - g is m
+        n00, n01, n11 = m - g, h, m22 - g
+        d00, d01, d11 = m, (1.0 + kappa) * h, (1.0 + kappa) * m22 - g
+        det_d = d00 * d11 - d01 * d01
+        if not det_d > 0.0:
+            raise NotNested("the ellipsoid leaves the ball: its chord pencil is not definite")
+        # S = L^-1 N2 L^-T for the Cholesky factor L of D2; r = L10 / L00
+        r = d01 / d00
+        s00 = n00 / d00
+        s01 = (n01 - r * n00) / math.sqrt(det_d)
+        s11 = (n11 - r * (2.0 * n01 - r * n00)) * d00 / det_d
+        mid, rad = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), s01)
+        p_min, p_max = mid - rad, mid + rad
+        cos_p, sin_p = (m02 / h, m12 / h) if h > 0.0 else (1.0, 0.0)
+        arg_min = cos_p * q[1] - sin_p * q[0]
+        arg_max = arg_min.copy()
+    else:
+        branch = "3x3"
+        m = np.array(mp)
+        n = m - g * np.eye(3)
+        p_min, w_min = _definite_extreme(n, n + (g / lam1) * m, 0)
+        p_max, w_max = _definite_extreme(n, n + (g / lam2) * m, -1)
+        arg_min, arg_max = _plane_normal(q, v1, w_min, v2), _plane_normal(q, v2, w_max, v1)
+    _debug("full-sphere bounds in closed form (%s): lambda1/g %.17g, lambda2/g %.17g", branch, lam1 / g, lam2 / g)
+    p_min = max(p_min, 0.0)
     return ProbBounds(
-        p_min=float(max(mid - rad, 0.0)),
-        p_max=float(mid + rad),
+        p_min=float(p_min),
+        p_max=float(max(p_max, p_min)),
         mode="ellipsoid",
-        argmin_normal=normal,
-        argmax_normal=normal.copy(),
+        argmin_normal=arg_min,
+        argmax_normal=arg_max,
         n_planes=0,
     )
 
 
-# Each mode of `p_bounds` gives its scan's extremes (lo_min at plane imin,
-# hi_max at plane imax, over n_planes planes) and its chart: the chart point
-# of grid plane i, the signed value to minimise at a chart point (+inf on
-# planes it rejects), and the normal at a chart point.
+def _chord_bounds(q, mp, gp, w, n_planes):
+    """Pencil bounds in closed form at b's chord w = Q (b - p), a list of
+    contact-frame floats, from the contact frame (Q, M', g') of `_contact`:
+    t(w; lam1) and t(w; lam2) of `_ellipsoid_bounds`.
 
-
-def _full_bounds(q, mp, gp, resolution, refine):
-    """Full-sphere `p_bounds` in the contact frame (Q, M', g') of `_contact`."""
-    n_theta, n_phi = resolution
-    scan = kernels.scan_grid(mp, gp, n_theta, n_phi)
-    grid_a, grid_b = kernels.polar_grid(n_theta, n_phi)
-
-    def chart_point(i):
-        return float(grid_a[i // n_phi]), float(grid_b[i % n_phi])
-
-    def signed_value(angles, sign):
-        a, b = angles
-        s = math.sin(a)
-        # reject nearly tangent planes, R < 5e-3; the reduction's rounding
-        # error grows like eps/R (3e-11 relative at R = 1e-5, measured
-        # against exact arithmetic)
-        if s * s < 5e-3**2:
-            return np.inf
-        mu, nu, ga = kernels.reduce_planes(mp, gp, s, math.cos(a), math.cos(b), math.sin(b))
-        lo_s, hi_s = kernels.plane_bounds(mu, nu, ga)
-        return lo_s if sign > 0.0 else -hi_s
-
-    def chart_normal(angles):
-        a, b = angles
-        s = math.sin(a)
-        return np.array([s * math.cos(b), s * math.sin(b), math.cos(a)]) @ q
-
-    return _refined_bounds("ellipsoid", scan, chart_point, signed_value, chart_normal, refine)
-
-
-def _pencil_bounds(q, mp, gp, pencil, thresholds, valid, refine):
-    """Pencil `p_bounds` over the planes of a `_pencil_pass`, from their
-    `kernels.pencil_thresholds`."""
-    lo, hi = np.where(valid, thresholds, np.inf), np.where(valid, thresholds, -np.inf)
-    imin, imax = int(np.argmin(lo)), int(np.argmax(hi))
-    scan = float(lo[imin]), imin, float(hi[imax]), imax, int(valid.sum())
-    qe1_f, qe2_f, db_f = pencil.frame
-
-    def chart_point(i):
-        return (float(pencil.ts[i]),)
-
-    def signed_value(t, sign):
-        x, y, d = kernels.pencil_normals(qe1_f, qe2_f, t[0])
-        s, c, cos_b, sin_b, ok = kernels.polar_factors(x, y, d)
-        if not ok:
-            return np.inf
-        r2 = s * s
-        k, ok = kernels.chord_slope(*kernels.chord_coords(x, y, d, r2, db_f), r2)
-        if not ok:
-            return np.inf
-        mu, nu, ga = kernels.reduce_planes(mp, gp, s, c, cos_b, sin_b)
-        return sign * kernels.pencil_threshold(mu, nu, ga, k)
-
-    def chart_normal(t):
-        return np.array(kernels.pencil_normals(pencil.e1, pencil.e2, t[0]))
-
-    return _refined_bounds("pencil", scan, chart_point, signed_value, chart_normal, refine)
-
-
-def _refined_bounds(mode, scan, chart_point, signed_value, chart_normal, refine):
-    """`ProbBounds` from a scan's extremes, each polished by `_newton_polish`
-    from its grid point when refine is set."""
-    lo_min, imin, hi_max, imax, n_planes = scan
-    extremes = []
-    for sign, i, value in ((1.0, imin, lo_min), (-1.0, imax, -hi_max)):
-        point, polished = chart_point(i), value
-        if refine:
-            point, polished = _newton_polish(lambda x: signed_value(x, sign), point, value)
-        # the polish returns the grid point itself unless it improved on it
-        extremes.append((sign * polished, chart_normal(point)))
-    (p_min, arg_min), (p_max, arg_max) = extremes
+    The planes through p and b are span(v, w), one for every unit tangent
+    v, so V = v^T M' v ranges over [lam1, lam2] and t(w; V) increases with
+    it. A = w^T N w is clamped at 0 first: nesting makes it nonnegative,
+    and a rounding-negative A would reverse the order of the two values.
+    With A >= 0 and lam1 <= lam2, t(w; lam1) <= t(w; lam2) holds in
+    floating point too, as every step is monotone. n_planes is the caller's
+    count of valid pencil planes; argmin_normal and argmax_normal are the
+    normals of span(v1, w) and span(v2, w).
+    """
+    lam1, v1, lam2, v2 = _tangent_axes(mp)
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
+    g = gp[2]
+    x, y, z = w
+    cross = 2.0 * (m01 * x * y + m02 * x * z + m12 * y * z)
+    a = max((m00 - g) * x * x + (m11 - g) * y * y + (m22 - g) * z * z + cross, 0.0)
+    b = m00 * x * x + m11 * y * y + m22 * z * z + cross
+    _debug("pencil bounds in closed form: lambda1/g %.17g, lambda2/g %.17g", lam1 / g, lam2 / g)
+    w = np.array(w)
     return ProbBounds(
-        p_min=float(max(p_min, 0.0)),
-        p_max=float(p_max),
-        mode=mode,
-        argmin_normal=arg_min,
-        argmax_normal=arg_max,
+        p_min=a / (a + (g / lam1) * b),
+        p_max=a / (a + (g / lam2) * b),
+        mode="pencil",
+        argmin_normal=_plane_normal(q, v1, w, v2),
+        argmax_normal=_plane_normal(q, v2, w, v1),
         n_planes=n_planes,
     )

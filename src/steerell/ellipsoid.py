@@ -242,8 +242,10 @@ def tangency(ell: SteeringEllipsoid) -> TangencyReport:
     gap = _secular_gap(d, [x * ci * ci for x, ci in zip(a2, c)])
     lam = amax2 + gap
     # |x|max^2 as the trust-region dual value lam (1 + sum_i c'_i^2 / (lam -
-    # a_i^2)): a sum of positive terms, stationary in lam at the root
-    excess = math.sqrt(lam * (1.0 + sum(ci * ci / (gap + di) for ci, di in zip(c, d) if ci))) - 1.0
+    # a_i^2)): a sum of positive terms, stationary in lam at the root. A c'_i
+    # whose square underflows, as on a largest axis where the gap is then 0,
+    # adds nothing
+    excess = math.sqrt(lam * (1.0 + sum(ci * ci / (gap + di) for ci, di in zip(c, d) if ci * ci))) - 1.0
     hard = gap <= TOL_SECULAR_GAP * amax2
     if hard:
         # axes whose pole lies within the gap tolerance count as largest; the

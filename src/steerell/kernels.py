@@ -2,28 +2,24 @@
 
 Every steerability verdict and bound comes from these formulas. Each has one
 implementation, written component-wise so that the same code takes arrays of
-planes (the scans) and Python floats (the Newton polish that refines the
-bounds in `criteria.p_bounds`, and the one-plane verdicts of
-`criteria.steerable_in_plane` and `criteria.p_bounds_in_plane`). The
+planes (the pencil and the scans) and Python floats (the one-plane verdicts
+of `criteria.steerable_in_plane` and `criteria.p_bounds_in_plane`). The
 homology of `projective` is the paper's construction of the same column
 (alpha, beta, gamma); the tests hold these formulas to it.
 
-The reduction also says when the plane does not matter: along a chord, the
-threshold depends on the plane only through v^T M' v, with v the plane's
-axis in the tangent plane at p (see the header of the reduction below). An
-ellipsoid isotropic at p, m00 = m11 and m01 = 0 in the contact frame, as
-every state's is, gives every plane through a chord one threshold, and
-`criteria` takes its full-sphere bounds in closed form from that. The
-full-sphere scan (`scan_grid`) serves public `criteria.p_bounds` and
-ellipsoids that are anisotropic at p.
+The reduction also says how the plane matters: along a chord, the threshold
+depends on the plane only through v^T M' v, with v the plane's axis in the
+tangent plane at p (see the header of the reduction below), and v^T M' v
+ranges over the two eigenvalues of M''s tangent block. `criteria` takes
+both its bounds, over every plane through p and over the pencil through b,
+in closed form from that, and scans no plane for them.
 
   ellipse_invariants
                     (m, n, delta) of a section ellipse -> (mu, nu, xi, g),
                     with (mu, nu, xi) = R (alpha, beta, gamma)
   contact_frame     rotation Q to the contact-point frame, M' and g' in it
   polar_factors     contact-frame normals (x, y, d) -> (s, c, C, S, valid)
-  reduce_planes     polar factors -> (mu, nu, gamma); it is `reduce_terms`
-                    of the `row_terms` and the `column_terms`
+  reduce_planes     polar factors -> (mu, nu, gamma)
   chord_coords      R (u_b, v_b): in-plane coordinates of b - p, scaled by R
   chord_slope       k = v_b / u_b, valid where b is on the u > 0 side of p
   plane_margin      signed steerability margin of an in-plane point
@@ -35,13 +31,10 @@ Kernels:
   pencil_planes   one reduction of the pencil through p and b, from which
                   `criteria` takes margins, h points and, by
                   `pencil_thresholds`, each plane's threshold at b
-  scan_grid       extremes of the per-plane probability bounds over the
-                  contact-frame polar grid of the full-sphere scan
-                  (`polar_grid`), each block of rows, SCAN_BLOCK = 2,048
-                  planes or one row, reduced by `reduce_terms` and bounded by
-                  `plane_bounds`; blocks this small take no page faults
-                  once warm (measurements at SCAN_BLOCK)
-  scan_bounds     per-plane probability bounds for given world-frame normals
+  scan_bounds     per-plane probability bounds for given world-frame normals,
+                  in blocks of SCAN_BLOCK = 2,048 planes, which take no page
+                  faults once warm (measurements at SCAN_BLOCK); no caller
+                  in the package: the tests and the benchmark call it
   scan_pencil     per-plane steerability thresholds over the pencil through b
                   from world-frame inputs: `pencil_planes` and
                   `pencil_thresholds` in a contact frame of its own
@@ -81,12 +74,11 @@ DEFAULT_BACKEND = "numpy"
 #           + c s (m02 C + m12 S) / W
 #   gamma = (g'2 - (c / s) (g'0 C + g'1 S)) / W
 #
-# Each term is a row term, a function of the polar angle a alone, times a
-# column term, a function of the azimuth b alone (`row_terms`,
-# `column_terms`). A grid of planes on (a, b) therefore reduces with one
-# outer product per term and no rotation of its normals (`scan_grid`). The
-# per-plane bounds, slopes and pencil threshold depend on (mu, nu, gamma)
-# only, and none of it carries a 1 - d^2 cancellation near the tangent plane.
+# Each term is a function of the polar angle a alone times a function of
+# the azimuth b alone, so a grid of planes on (a, b) reduces by broadcasting
+# with no rotation of its normals. The per-plane bounds, slopes and pencil
+# threshold depend on (mu, nu, gamma) only, and none of it carries a 1 - d^2
+# cancellation near the tangent plane.
 #
 # For g' = (0, 0, g), the in-plane chord of slope k runs along
 # w = u'/R + k v'/R. With V1 = v^T M' v for the unit axis v = v'/R,
@@ -95,17 +87,18 @@ DEFAULT_BACKEND = "numpy"
 #
 #   t = w^T N w / (w^T N w + (g / V1) w^T M' w),   N = M' - g I.
 #
-# Only V1 depends on the plane. It is m for every v when m00 = m11 = m and
-# m01 = 0, and then every plane through the chord gives the same t.
+# Only V1 depends on the plane, and t increases with it. It is m for every v
+# when m00 = m11 = m and m01 = 0, and then every plane through the chord
+# gives the same t.
 # ---------------------------------------------------------------------------
 
 _BETA_EPS = 1e-12
 _R2_EPS = 1e-12
 
 
-# The refinement calls the per-plane formulas one plane at a time on Python
-# floats; numpy functions would turn those into numpy scalars, whose
-# arithmetic is several times slower. These keep floats as floats.
+# The one-plane verdicts call the per-plane formulas on Python floats; numpy
+# functions would turn those into numpy scalars, whose arithmetic is several
+# times slower. These keep floats as floats.
 def _select(cond, a, b):
     if isinstance(cond, np.ndarray):
         return np.where(cond, a, b)
@@ -186,42 +179,6 @@ def polar_factors(x, y, d):
     return s, d, x / s, y / s, True
 
 
-def row_terms(mp, s, c):
-    """The factors of `reduce_planes` that depend on the polar angle alone:
-    (s, c, c s, (m00 + m11) c^2 + m22 s^2, (1 + c^2) / 2, c / s). s != 0."""
-    (m00, _, _), (_, m11, _), (_, _, m22) = mp
-    c2 = c * c
-    return s, c, c * s, (m00 + m11) * c2 + m22 * (s * s), 0.5 + 0.5 * c2, c / s
-
-
-def column_terms(mp, gp, cos_b, sin_b):
-    """The factors of `reduce_planes` that depend on the azimuth alone, each
-    divided by W: (m12 C - m02 S, m01 (C^2 - S^2) + (m11 - m00) C S, 1/2,
-    m02 C + m12 S, g'2, g'0 C + g'1 S) / W."""
-    (m00, m01, m02), (_, m11, m12), _ = mp
-    cc, ss, cs = cos_b * cos_b, sin_b * sin_b, cos_b * sin_b
-    inv = 1.0 / (m11 * cc - 2.0 * m01 * cs + m00 * ss)
-    return (
-        (m12 * cos_b - m02 * sin_b) * inv,
-        (m01 * (cc - ss) + (m11 - m00) * cs) * inv,
-        0.5 * inv,
-        (m02 * cos_b + m12 * sin_b) * inv,
-        gp[2] * inv,
-        (gp[0] * cos_b + gp[1] * sin_b) * inv,
-    )
-
-
-def reduce_terms(rows, cols):
-    """(mu, nu, gamma) from `row_terms` and `column_terms`: three products
-    of a row term and a column term per factor, the row terms broadcast
-    against the column terms."""
-    s, c, cs, t, h, cot = rows
-    n_s, n_c, w2, m_cs, g_w, g_cot = cols
-    mu = cs * m_cs - t * w2 + h
-    nu = s * n_s - c * n_c
-    return mu, nu, g_w - cot * g_cot
-
-
 def reduce_planes(mp, gp, s, c, cos_b, sin_b):
     """(mu, nu, gamma) of the planes through p with contact-frame normal
     (s cos_b, s sin_b, c); mu = R alpha, nu = R beta with R = |s|, s != 0.
@@ -231,7 +188,16 @@ def reduce_planes(mp, gp, s, c, cos_b, sin_b):
     arrays that broadcast. Callers with Cartesian normals take the factors
     from `polar_factors`.
     """
-    return reduce_terms(row_terms(mp, s, c), column_terms(mp, gp, cos_b, sin_b))
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
+    cc, ss, cs = cos_b * cos_b, sin_b * sin_b, cos_b * sin_b
+    # each term is a factor of the polar angle times a factor of the azimuth
+    # over W
+    inv = 1.0 / (m11 * cc - 2.0 * m01 * cs + m00 * ss)
+    c2 = c * c
+    mu = (c * s) * ((m02 * cos_b + m12 * sin_b) * inv) - ((m00 + m11) * c2 + m22 * (s * s)) * (0.5 * inv)
+    mu = mu + (0.5 + 0.5 * c2)
+    nu = s * ((m12 * cos_b - m02 * sin_b) * inv) - c * ((m01 * (cc - ss) + (m11 - m00) * cs) * inv)
+    return mu, nu, gp[2] * inv - (c / s) * ((gp[0] * cos_b + gp[1] * sin_b) * inv)
 
 
 def chord_coords(x, y, d, r2, db):
@@ -303,10 +269,7 @@ def pencil_threshold(mu, nu, ga, k):
 
 def pencil_normals(e1, e2, ts):
     """Components of the normals cos(t) e1 + sin(t) e2."""
-    if isinstance(ts, np.ndarray):
-        ct, st = np.cos(ts), np.sin(ts)
-    else:
-        ct, st = math.cos(ts), math.sin(ts)
+    ct, st = np.cos(ts), np.sin(ts)
     return ct * e1[0] + st * e2[0], ct * e1[1] + st * e2[1], ct * e1[2] + st * e2[2]
 
 
@@ -335,66 +298,13 @@ def pencil_thresholds(planes):
     return np.where(valid, pencil_threshold(mu, nu, ga, k), 0.0), valid
 
 
-# Planes per block of `scan_grid` and `scan_bounds`. glibc gives the free top
-# of its heap back to the OS once it exceeds the trim threshold (128 KB, or
-# twice the largest mmap chunk freed so far), and the next call faults those
-# pages in again. Blocks of 16 KB arrays keep what a warm call frees below
-# the threshold, so it takes no page faults. At 4,096 planes a (180, 360)
-# `scan_grid` call took 92 faults in a process that had freed nothing larger,
-# and a 32,400-normal `scan_bounds` call up to 35, by the environment.
+# Planes per block of `scan_bounds`. glibc gives the free top of its heap
+# back to the OS once it exceeds the trim threshold (128 KB, or twice the
+# largest mmap chunk freed so far), and the next call faults those pages in
+# again. Blocks of 16 KB arrays keep what a warm call frees below the
+# threshold, so it takes no page faults. At 4,096 planes a 32,400-normal
+# `scan_bounds` call took up to 35 faults, by the environment.
 SCAN_BLOCK = 2048
-
-
-def polar_grid(n_theta, n_phi):
-    """Polar angles (a, b) of the planes of the full-sphere scan, in the
-    contact frame: a_i = (i + 1/2) pi / n_theta for i < ceil(n_theta / 2) and
-    b_j = 2 pi j / n_phi.
-
-    Plane i n_phi + j has contact-frame normal (sin a_i cos b_j,
-    sin a_i sin b_j, cos a_i). n and -n give the same plane, so the rows
-    cover the hemisphere d > 0 of the (n_theta, n_phi) grid, plus the equator
-    row when n_theta is odd. No row holds the tangent plane a = 0.
-    """
-    a = (np.arange(-(-n_theta // 2)) + 0.5) * np.pi / n_theta
-    b = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    return a, b
-
-
-def scan_grid(mp, gp, n_theta, n_phi):
-    """(lo_min, i_min, hi_max, i_max, n_planes) over the planes of
-    `polar_grid(n_theta, n_phi)` through the contact point.
-
-    `mp` and `gp` are M' and g' of `contact_frame`, best as nested lists of
-    floats. lo_min and hi_max are the least per-plane p_min and the greatest
-    per-plane p_max, i_min and i_max the first planes attaining them, and
-    n_planes the number of planes scanned.
-
-    The column terms of the reduction are computed once per call, and each
-    block of floor(SCAN_BLOCK / n_phi) rows (at least one) is
-    `plane_bounds(*reduce_terms(...))`, so the extremes are those of one
-    whole-array evaluation, bit for bit. Rows with sin(a)^2 <= 1e-12, nearer
-    the tangent plane than `polar_factors` admits, are skipped; only n_theta
-    above 1.5 million has one.
-    """
-    a, b = polar_grid(n_theta, n_phi)
-    s = np.sin(a)
-    # s grows with a, so the skipped rows come first
-    first = int(np.count_nonzero(s * s <= _R2_EPS))
-    rows = row_terms(mp, s[first:, None], np.cos(a[first:])[:, None])
-    cols = column_terms(mp, gp, np.cos(b), np.sin(b))
-    n_rows = len(a) - first
-    step = max(1, SCAN_BLOCK // n_phi)
-    lo_min, i_min, hi_max, i_max = math.inf, 0, -math.inf, 0
-    for i in range(0, n_rows, step):
-        lo, hi = plane_bounds(*reduce_terms([term[i : i + step] for term in rows], cols))
-        start = (first + i) * n_phi
-        j = int(lo.argmin())
-        if lo.flat[j] < lo_min:
-            lo_min, i_min = float(lo.flat[j]), start + j
-        j = int(hi.argmax())
-        if hi.flat[j] > hi_max:
-            hi_max, i_max = float(hi.flat[j]), start + j
-    return lo_min, i_min, hi_max, i_max, n_rows * n_phi
 
 
 def scan_bounds(minv, centre, p, normals):

@@ -199,15 +199,18 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
     # the separate probability, locus and bounds calls checked the contact
     # point four times an analyze and three times a sweep row, and an
     # X-state row reduced its pencil twice; a row now reads only the bound
-    # it reports, so an X-state row takes no full-sphere bounds. A state's
-    # ellipsoid is isotropic at p, so its full-sphere bounds are the closed
-    # form's and no grid is scanned
+    # it reports, so an X-state row takes no full-sphere bounds. Both bounds
+    # are closed forms, so no plane is scanned, and a state's ellipsoid is
+    # isotropic at p, so its full-sphere bounds take the 2x2 form, with no
+    # 3x3 pencil
     names = (
         (criteria, "check_on_both_surfaces"),
         (kernels, "contact_frame"),
         (kernels, "pencil_planes"),
-        (criteria, "_isotropic_bounds"),
-        (kernels, "scan_grid"),
+        (criteria, "_ellipsoid_bounds"),
+        (criteria, "_chord_bounds"),
+        (criteria, "_definite_extreme"),
+        (kernels, "scan_bounds"),
     )
     calls = dict.fromkeys((name for _, name in names), 0)
     for module, name in names:
@@ -217,7 +220,7 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    for argv, closed_forms in ((["analyze", "--state", obese_file], 1), (SPHERE_ROW, 1), (XSTATE_ROW, 0)):
+    for argv, full, pencil in ((["analyze", "--state", obese_file], 1, 1), (SPHERE_ROW, 1, 0), (XSTATE_ROW, 0, 1)):
         calls.update(dict.fromkeys(calls, 0))
         code, out, _err = _run(capsys, argv)
         assert code == 0
@@ -227,8 +230,10 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
             "check_on_both_surfaces": 1,
             "contact_frame": 1,
             "pencil_planes": 1,
-            "_isotropic_bounds": closed_forms,
-            "scan_grid": 0,
+            "_ellipsoid_bounds": full,
+            "_chord_bounds": pencil,
+            "_definite_extreme": 0,
+            "scan_bounds": 0,
         }
         assert calls == expected, argv
 
@@ -375,8 +380,7 @@ FAMILY_ROWS = {
 @pytest.mark.parametrize("family", FAMILY_ROWS)
 def test_family_sweep_row_equals_the_separate_calls(capsys, family):
     # a row's cells are what the public calls give one at a time, with the
-    # bounds of the family's mode: the pencil scan's, or the closed form's
-    # full-sphere bounds
+    # bounds of the family's mode: the pencil's, or the full sphere's
     params, state, pencil = FAMILY_ROWS[family]
     argv = ["family-sweep", "--family", family, "--planes", "12"]
     for name, value in params.items():
@@ -388,7 +392,7 @@ def test_family_sweep_row_equals_the_separate_calls(capsys, family):
     if pencil:
         bounds = criteria.p_bounds(ell, p=p, b=b, resolution=(12, 12))
     else:
-        bounds = criteria._isotropic_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
+        bounds = criteria.p_bounds(ell, p=p)
     expected = {
         "p_p": criteria.pure_state_probability(ell, p, b),
         "margin": criteria.locus_of_h(ell, b, p=p, n_planes=12).margins.max(),

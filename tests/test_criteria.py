@@ -1,13 +1,13 @@
 """Per-plane margins, the h locus, probability bounds and their consistency."""
 import ast
 import functools
+import itertools
 import logging
 import math
 import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,12 @@ from steerell import (
     x_semiaxes,
     x_state_p_bounds,
 )
-from steerell.errors import AtInfinity, SteerellError
+from steerell.cli import _FAMILIES
+from steerell.errors import AtInfinity, NotNested, SteerellError
 from steerell.projective import apply, conic_value, ellipse_point, tangent_ellipse_conic
 from steerell.tolerances import BOUNDARY_BAND, TOL_GEOM
+
+import brute_force
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -607,9 +610,10 @@ def test_locus_result_shapes():
 
 @pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14)])
 def test_hemisphere_scan_loses_no_plane(resolution):
-    # n and -n give the same plane, so the p_bounds scan of the upper rows of
-    # the contact-frame polar grid must reach the extremes of the scan over
-    # the whole sphere of that grid's normals, taken to the world frame
+    # n and -n give the same plane, so the brute-force reference's scan of
+    # the upper rows of the contact-frame polar grid must reach the extremes
+    # of the scan over the whole sphere of that grid's normals, taken to the
+    # world frame; the closed-form bounds hold every one of those planes
     n_theta, n_phi = resolution
     a = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     b = np.arange(n_phi) * 2.0 * np.pi / n_phi
@@ -622,15 +626,20 @@ def test_hemisphere_scan_loses_no_plane(resolution):
         q = kernels.contact_frame(minv, ell.centre, p)[0]
         lo, hi, valid = kernels.scan_bounds(minv, ell.centre, p, contact_normals @ q)
         assert valid.all()
+        _, mp, gp = kernels.contact_frame(minv, ell.centre, p)
+        lo_min, _, hi_max, _, n_planes = brute_force.grid_bounds(mp, gp, n_theta, n_phi)
+        assert lo_min == pytest.approx(lo.min(), rel=0, abs=1e-12)
+        assert hi_max == pytest.approx(hi.max(), rel=0, abs=1e-12)
+        assert n_planes == -(-n_theta // 2) * n_phi
         out = p_bounds(ell, p=p, resolution=resolution, refine=False)
-        assert out.p_min == pytest.approx(max(lo.min(), 0.0), rel=0, abs=1e-12)
-        assert out.p_max == pytest.approx(hi.max(), rel=0, abs=1e-12)
-        assert out.n_planes == -(-n_theta // 2) * n_phi
+        assert out.n_planes == 0
+        assert out.p_min <= max(lo.min(), 0.0) + 1e-12
+        assert hi.max() <= out.p_max + 1e-12
 
 
 def test_full_sphere_bounds_peak_under_two_megabytes():
-    # the blocked scan keeps a warm (180, 360) call to small temporaries;
-    # evaluated as whole arrays it peaked at 4.45 MB
+    # the closed form allocates a few small arrays; the (180, 360) scan it
+    # replaced, evaluated as whole arrays, peaked at 4.45 MB
     import tracemalloc
 
     _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(4))
@@ -691,8 +700,8 @@ def _bounds_fields(bounds):
 
 
 def _closed_form_bounds(ell, p):
-    """`criteria._isotropic_bounds` on the contact frame of ell at p."""
-    return criteria._isotropic_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
+    """`criteria._ellipsoid_bounds` on the contact frame of ell at p."""
+    return criteria._ellipsoid_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
 
 
 @pytest.mark.parametrize("n_planes", [180, 7])
@@ -788,26 +797,28 @@ def _rank3_draws(seed, n_draws):
 
 
 def test_closed_form_bounds_match_the_refined_scan():
-    # on states the refined (180, 360) scan reaches the closed form to
-    # 1.0e-12; a scan value is the threshold of a real plane, so the closed
-    # form's interval holds the scan's, up to rounding. The plane of each
-    # attaining normal holds the attaining chord, so its in-plane bounds
-    # reach the global one.
-    for state, ell, rep in _rank3_draws(11, 1000):
+    # a grid value is the threshold of a real plane, so on states the closed
+    # form's interval holds every plane of the brute-force (90, 180) grid,
+    # up to rounding. The plane of each attaining normal holds the attaining
+    # chord, so its in-plane bounds reach the global one: the bounds are
+    # attained. On the first 5 draws, a Nelder-Mead refinement of a finer
+    # grid (`_reference_bounds`) reaches them to 1e-12 from inside.
+    for i, (state, ell, rep) in enumerate(_rank3_draws(11, 1000)):
         p = rep.point
-        frame = criteria._frame(ell, criteria._contact(ell, p, None), p)
-        closed = criteria._isotropic_bounds(*frame)
-        scan = criteria._full_bounds(*frame, (180, 360), True)
+        closed = _closed_form_bounds(ell, p)
         assert (closed.mode, closed.n_planes) == ("ellipsoid", 0)
-        assert abs(closed.p_min - scan.p_min) <= 2e-12
-        assert abs(closed.p_max - scan.p_max) <= 2e-12
-        assert closed.p_min <= scan.p_min + 2e-12
-        assert scan.p_max <= closed.p_max + 2e-12
+        lo, hi = brute_force.full_sphere_range(ell, p, (90, 180))
+        assert closed.p_min <= lo + 1e-12
+        assert hi <= closed.p_max + 1e-12
         top = p_bounds_in_plane(plane_section(ell, p, closed.argmax_normal))
         assert top.p_max == pytest.approx(closed.p_max, abs=1e-10)
         if closed.p_min > 0.0:
             bottom = p_bounds_in_plane(plane_section(ell, p, closed.argmin_normal))
             assert bottom.p_min == pytest.approx(closed.p_min, abs=1e-10)
+        if i < 5:
+            ref_min, ref_max = _reference_bounds(ell, p)
+            assert ref_min - 1e-12 <= closed.p_min <= ref_min + 1e-12
+            assert ref_max - 1e-12 <= closed.p_max <= ref_max + 1e-12
 
 
 def test_closed_form_bounds_match_the_density_matrix_form():
@@ -860,33 +871,131 @@ def test_chord_threshold_is_every_pencil_plane_threshold():
         np.testing.assert_allclose(result.thresholds[result.valid], _chord_threshold(ell, p, b), rtol=0, atol=1e-10)
 
 
-def test_anisotropic_ellipsoid_takes_the_scan():
+def test_anisotropic_ellipsoid_takes_the_closed_form():
     # an abstract tangent ellipsoid is not isotropic at p: no state has it,
-    # and its threshold depends on the plane, so its bounds are scanned
+    # and its threshold depends on the plane, through v^T M' v. Its bounds
+    # are closed forms too: the full-sphere interval holds every plane of the
+    # brute-force grid and the pencil interval every plane of a dense
+    # pencil, and planes of each attain them.
     rng = np.random.default_rng(13)
     for _ in range(20):
         ell, p = sampling.random_tangent_ellipsoid(rng)
-        frame = criteria._frame(ell, criteria._contact(ell, p, None), p)
-        assert criteria._isotropic_bounds(*frame) is None
         b = sampling.random_interior_point(rng, ell)
-        got = criteria.analyze(ell, b, p=p, n_planes=7).bounds
-        assert got.n_planes == 4 * 14
-        assert _bounds_fields(got) == _bounds_fields(criteria._full_bounds(*frame, (7, 14), True))
+        got = criteria.analyze(ell, b, p=p, n_planes=7)
+        assert _bounds_fields(got.bounds) == _bounds_fields(p_bounds(ell, p=p))
+        assert got.bounds.n_planes == 0
+        lo, hi = brute_force.full_sphere_range(ell, p, (90, 180))
+        assert got.bounds.p_min <= lo + 1e-12 and hi <= got.bounds.p_max + 1e-12
+        top = p_bounds_in_plane(plane_section(ell, p, got.bounds.argmax_normal))
+        assert top.p_max == pytest.approx(got.bounds.p_max, abs=1e-10)
+        pencil = got.bounds_pencil
+        assert _bounds_fields(pencil) == _bounds_fields(p_bounds(ell, p=p, b=b, resolution=(7, 7)))
+        assert pencil.n_planes == int(got.valid.sum())
+        lo, hi = brute_force.pencil_range(ell, p, b)
+        assert pencil.p_min <= lo + 1e-12 and hi <= pencil.p_max + 1e-12
+        assert hi - lo >= 0.99 * (pencil.p_max - pencil.p_min)
+        # the attaining planes are pencil planes: they hold b
+        assert abs(pencil.argmin_normal @ (b - p)) <= 1e-12 and abs(pencil.argmax_normal @ (b - p)) <= 1e-12
+        assert got.bounds.p_min <= pencil.p_min + 1e-12 and pencil.p_max <= got.bounds.p_max + 1e-12
+    # abstract X geometries are aligned with the contact frame, and attain
+    # their extremes on tangent chords along v_i, in the plane span(v_i, p)
+    for args in ((0.2, 0.5, 0.6, 0.4), (0.0, 0.3, 0.3, 0.7)):
+        ell, _b, p = tangent_x_geometry(*args)
+        out = p_bounds(ell, p=p)
+        for normal, value, side in ((out.argmin_normal, out.p_min, "p_min"), (out.argmax_normal, out.p_max, "p_max")):
+            plane = p_bounds_in_plane(plane_section(ell, p, normal))
+            assert getattr(plane, side) == pytest.approx(value, abs=1e-12)
+
+
+def _osculating_ellipsoid(rng, eps):
+    """(ell, p, u): an ellipsoid touching the sphere at a random p with
+    semiaxes (a, b, a^2 (1 + eps)) along (u, v, p), b <= a, for a random
+    orthonormal u, v of the tangent plane. The least tangent eigenvalue
+    1 / a^2 of M' tends to g = 1 / (a^2 (1 + eps)) as eps -> 0, where
+    N = M' - g I is singular: the ellipsoid osculates the sphere along u. A
+    small negative eps is within the contact check's curvature tolerance."""
+    p = sampling.random_unit_vector(rng)
+    u = np.cross(p, sampling.random_unit_vector(rng))
+    u /= np.linalg.norm(u)
+    a = rng.uniform(0.3, 0.95)
+    depth = a * a * (1.0 + eps)
+    semiaxes = [a, rng.uniform(0.2, 1.0) * a, depth]
+    return ellipsoid_from_geometry((1.0 - depth) * p, semiaxes, np.array([u, np.cross(p, u), p]).T), p, u
+
+
+def test_bounds_are_ordered_in_floating_point():
+    # 0 <= p_min <= p_max exactly, in both modes. A state's two tangent
+    # eigenvalues agree up to rounding, so its pencil bounds do too, and an
+    # osculating ellipsoid makes N singular, where a rounding-negative
+    # w^T N w would put the clamped p_min above p_max
+    def check(ell, b, p):
+        got = criteria.analyze(ell, b, p=p, n_planes=4)
+        for bounds in (got.bounds, got.bounds_pencil):
+            assert 0.0 <= bounds.p_min <= bounds.p_max, (bounds.mode, bounds.p_min, bounds.p_max)
+
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        state, ell, rep = sampling.random_tangent_state(rng)
+        check(ell, state.b, rep.point)
+    rows = 0
+    for family in _FAMILIES.values():
+        for values in itertools.product(*(np.linspace(*grid) for grid in family.grids.values())):
+            if family.admissible(*values):
+                state = family.state(*values)
+                check(steering_ellipsoid(state), state.b, P_TOP)
+                rows += 1
+    assert rows >= 200
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        ell, p = sampling.random_tangent_ellipsoid(rng)
+        check(ell, sampling.random_interior_point(rng, ell), p)
+    for i in range(400):
+        ell, p, u = _osculating_ellipsoid(rng, (-1e-10, 0.0, 1e-15, 1e-12, 1e-9)[i % 5])
+        check(ell, sampling.random_interior_point(rng, ell), p)
+        # b halfway along a chord 2e-6 to 1e-5 rad off the osculating
+        # direction u, where w^T N w is within rounding of 0 or below it
+        angle = rng.uniform(2e-6, 1e-5)
+        w = math.cos(angle) * u - math.sin(angle) * p
+        minv = ell.inverse_shape_matrix()
+        length = -2.0 * (w @ minv @ (p - ell.centre)) / (w @ minv @ w)
+        check(ell, p + 0.5 * length * w, p)
+
+
+def test_an_ellipsoid_leaving_the_ball_has_no_closed_form():
+    # semiaxis 1.8 along p: the ellipsoid passes the contact check at p, as
+    # it is curved more than the sphere there, but pokes out of the ball at
+    # its far end. Its chord pencil (N, N + (g / lam) M') is indefinite, in
+    # the 2x2 form and in the 3x3 one, so it has no bounds; the pencil
+    # bounds at a b need no definite pencil
+    for semiaxes in ([0.5, 0.5, 1.8], [0.5, 0.4, 1.8]):
+        ell = ellipsoid_from_geometry([0.0, 0.0, -0.8], semiaxes)
+        with pytest.raises(NotNested, match="leaves the ball"):
+            p_bounds(ell, p=P_TOP)
+        pencil = p_bounds(ell, p=P_TOP, b=[0.1, 0.0, 0.0])
+        assert 0.0 <= pencil.p_min <= pencil.p_max
 
 
 def test_full_sphere_path_is_logged_not_printed(caplog, capsys):
+    # one record per closed form: the tangent eigenvalues over g, and for
+    # the full sphere the branch, the 2x2 form where they are equal, as for
+    # a state, and eigh of the 3x3 pencil otherwise
     state, ell, rep = sampling.random_tangent_state(np.random.default_rng(0))
     abstract, p = sampling.random_tangent_ellipsoid(np.random.default_rng(0))
     b = sampling.random_interior_point(np.random.default_rng(1), abstract)
     with caplog.at_level(logging.DEBUG, logger="steerell"):
         criteria.analyze(ell, state.b, p=rep.point, n_planes=7).bounds
         criteria.analyze(abstract, b, p=p, n_planes=7).bounds
+        criteria.analyze(abstract, b, p=p, n_planes=7).bounds_pencil
     messages = [record.getMessage() for record in caplog.records if record.name == "steerell"]
-    assert len(messages) == 2
-    assert re.fullmatch(r"full-sphere bounds in closed form: anisotropy at p \S+", messages[0])
-    assert float(messages[0].rsplit(" ", 1)[1]) <= 1e-12
-    assert re.fullmatch(r"full-sphere bounds by the scan: anisotropy at p \S+", messages[1])
-    assert float(messages[1].rsplit(" ", 1)[1]) > 1e-2
+    assert len(messages) == 3
+    number = r"(\S+)"
+    full = r"full-sphere bounds in closed form \((2x2|3x3)\): lambda1/g {0}, lambda2/g {0}".format(number)
+    pencil = r"pencil bounds in closed form: lambda1/g {0}, lambda2/g {0}".format(number)
+    branch, lam1, lam2 = re.fullmatch(full, messages[0]).groups()
+    assert branch == "2x2" and float(lam1) >= 1.0 - 1e-9 and float(lam2) - float(lam1) <= 1e-12 * float(lam2)
+    branch, lam1, lam2 = re.fullmatch(full, messages[1]).groups()
+    assert branch == "3x3" and float(lam2) - float(lam1) > 1e-2 * float(lam2)
+    assert re.fullmatch(pencil, messages[2]).groups() == (lam1, lam2)
     assert capsys.readouterr() == ("", "")
 
 
@@ -909,16 +1018,18 @@ def test_the_library_leaves_logging_unimported():
 
 
 # ---------------------------------------------------------------------------
-# the refinement of the full-sphere bounds
+# the closed-form full-sphere bounds against refined scans
 # ---------------------------------------------------------------------------
 
 
 def test_refinement_evaluates_few_planes(monkeypatch):
     # three golden-section sweeps of theta then phi for each bound took
-    # 530 planes a call at (180, 360)
+    # 530 planes a call at (180, 360), and a Newton polish of the scan's
+    # extremes about 55 to 77; the closed form reduces none
     ells = [sampling.random_tangent_state(np.random.default_rng(seed))[1:] for seed in range(20)]
     ells += [(steering_ellipsoid(obese_state(c)), None) for c in (0.25, 0.5, 0.75)]
-    # the refinement reduces one plane at a time; the scans pass arrays
+    ells += [(ell, tangency(ell)) for ell, _ in _tangent_ellipsoids()[:5]]
+    # a refinement reduces one plane at a time; the scans pass arrays
     count = [0]
     reduce_planes = kernels.reduce_planes
 
@@ -929,7 +1040,7 @@ def test_refinement_evaluates_few_planes(monkeypatch):
     monkeypatch.setattr(kernels, "reduce_planes", counting)
     for ell, rep in ells:
         p_bounds(ell, p=P_TOP if rep is None else rep.point)
-    assert count[0] / len(ells) <= 250
+    assert count[0] == 0
 
 
 @functools.lru_cache(maxsize=1)
@@ -996,11 +1107,14 @@ def _golden_descent_bounds(ell, p, resolution):
 
 @pytest.mark.parametrize("resolution", [(180, 360), (90, 180)])
 def test_refined_bounds_never_worse_than_the_grid(resolution):
+    # the brute-force grid's extremes are thresholds of real planes, so the
+    # closed form is never worse than them beyond rounding, refined or not
     for ell, p in _tangent_ellipsoids():
-        grid = p_bounds(ell, p=p, resolution=resolution, refine=False)
-        out = p_bounds(ell, p=p, resolution=resolution)
-        assert out.p_min <= grid.p_min
-        assert out.p_max >= grid.p_max
+        lo, hi = brute_force.full_sphere_range(ell, p, resolution)
+        for refine in (False, True):
+            out = p_bounds(ell, p=p, resolution=resolution, refine=refine)
+            assert out.p_min <= max(lo, 0.0) + 1e-12
+            assert out.p_max >= hi - 1e-12
         # the reported planes attain the reported bounds
         normals = np.array([out.argmin_normal, out.argmax_normal])
         lo, hi, valid = kernels.scan_bounds(ell.inverse_shape_matrix(), ell.centre, p, normals)
@@ -1056,8 +1170,8 @@ def _nelder_mead(fun, x0, scale):
 
 
 def _reference_bounds(ell, p, n_a=360, n_b=1440, starts=10):
-    """(p_min, p_max) over the planes with R >= 5e-3 (the cutoff of the
-    refinement), found without `criteria._newton_polish`: a Nelder-Mead from
+    """(p_min, p_max) over the planes with R >= 5e-3, found without the
+    closed forms or any scan of the package: a Nelder-Mead from
     each of the `starts` best local extremes of an (n_a, n_b) grid of
     contact-frame polar angles a in (0, pi/2), b in [0, 2 pi), four times
     finer in each angle than the (180, 360) scan."""
@@ -1140,70 +1254,3 @@ def test_refined_bounds_cross_a_long_flat_valley():
     out = p_bounds(ell, p=p, resolution=(90, 180))
     assert out.p_min <= ref_min + 1e-12
     assert out.p_max >= ref_max - 1e-12
-
-
-def _polish(fun, x0):
-    """(x, fx, values): `criteria._newton_polish` from x0 with every value it
-    evaluated, run with every warning an error."""
-    values = []
-
-    def recorded(x):
-        fx = fun(x)
-        values.append(fx)
-        return fx
-
-    f0 = fun(x0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x, fx = criteria._newton_polish(recorded, x0, f0)
-    assert fx == fun(x)
-    assert fx == min([f0] + values)
-    return x, fx, values
-
-
-def test_polish_finds_the_minimum_of_a_quadratic():
-    x, fx, values = _polish(lambda x: 3.0 * (x[0] - 0.01) ** 2 + 0.5, (0.0,))
-    assert abs(x[0] - 0.01) <= 1e-9 and abs(fx - 0.5) <= 1e-15
-    assert len(values) <= 15
-
-    def bowl(x):
-        u, v = x[0] - 0.02, x[1] + 0.01
-        return u * u + u * v + 2.0 * v * v
-
-    x, fx, values = _polish(bowl, (0.0, 0.0))
-    assert abs(x[0] - 0.02) <= 1e-9 and abs(x[1] + 0.01) <= 1e-9 and abs(fx) <= 1e-15
-    assert len(values) <= 30
-
-
-def test_polish_follows_a_narrow_valley():
-    # Hessian eigenvalues 2e4 and 2 along the rotated axes: condition 1e4
-    c, s = math.cos(0.3), math.sin(0.3)
-
-    def valley(x):
-        u = c * (x[0] - 0.04) + s * (x[1] + 0.03)
-        v = -s * (x[0] - 0.04) + c * (x[1] + 0.03)
-        return 1e4 * u * u + v * v + 0.25
-
-    _x, fx, _values = _polish(valley, (0.0, 0.0))
-    assert fx - 0.25 <= 1e-12
-
-
-def test_polish_on_a_constant_keeps_its_value():
-    assert _polish(lambda x: 0.25, (0.3, 0.7))[1] == 0.25
-
-
-def test_polish_stops_at_an_infinite_stencil_value():
-    # near-tangent planes evaluate to +inf
-    def fun(x):
-        return math.inf if x[0] < 0.2 else (x[0] - 0.1) ** 2 + x[1] ** 2
-
-    x, fx, values = _polish(fun, (0.2, 0.0))
-    # the stencil, and no step computed from it
-    assert len(values) == 6 and math.inf in values
-    assert (x, fx) == ((0.2, 0.0), fun((0.2, 0.0)))
-
-
-def test_polish_never_returns_worse_than_its_start():
-    # a start better than anything around it stays put, in 1-D and in 2-D
-    assert _polish(lambda x: 0.0 if x == (0.5,) else 1.0 + x[0], (0.5,))[:2] == ((0.5,), 0.0)
-    assert _polish(lambda x: 0.0 if x == (0.5, 0.5) else 1.0 + x[1], (0.5, 0.5))[:2] == ((0.5, 0.5), 0.0)

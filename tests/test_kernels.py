@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from steerell import ellipsoid_from_geometry, kernels, sampling
 
+import brute_force
+
 
 def _triangle_inputs(seed):
     # raw segment data; no geometric validity needed for the sweep itself
@@ -257,7 +259,7 @@ def test_scan_bounds_blocks_match_one_block_on_full_grids(monkeypatch, resolutio
     for seed in range(3):
         ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(seed))
         q = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, p)[0]
-        normals = _grid_normals(q, *kernels.polar_grid(*resolution))
+        normals = _grid_normals(q, *brute_force.polar_grid(*resolution))
         results = []
         for block in (kernels.SCAN_BLOCK, 13, len(normals)):
             monkeypatch.setattr(kernels, "SCAN_BLOCK", block)
@@ -270,13 +272,14 @@ def test_scan_bounds_blocks_match_one_block_on_full_grids(monkeypatch, resolutio
 @pytest.mark.parametrize("block", ["shipped", "one row"])
 @pytest.mark.parametrize("resolution", [(180, 360), (45, 90), (7, 14), (9, 18)])
 def test_grid_scan_matches_scan_bounds_plane_by_plane(monkeypatch, resolution, block):
-    # the factored reduction of the polar grid against the explicit-normal
-    # evaluator on the same planes, rotated to the world frame and back; a
-    # SCAN_BLOCK below n_phi gives one row a block
+    # the factored reduction of the polar grid, the brute-force reference's,
+    # against the explicit-normal evaluator on the same planes, rotated to
+    # the world frame and back; a SCAN_BLOCK below n_phi gives one row a
+    # block
     if block == "one row":
         monkeypatch.setattr(kernels, "SCAN_BLOCK", 13)
     n_theta, n_phi = resolution
-    a, b = kernels.polar_grid(n_theta, n_phi)
+    a, b = brute_force.polar_grid(n_theta, n_phi)
     assert len(a) == -(-n_theta // 2) and len(b) == n_phi
     assert a[-1] < np.pi / 2 or (n_theta % 2 and a[-1] == pytest.approx(np.pi / 2))
     for seed in range(3):
@@ -295,60 +298,17 @@ def test_grid_scan_matches_scan_bounds_plane_by_plane(monkeypatch, resolution, b
         # the two paths differ by rounding alone: 1.8e-14 at most over 20 draws
         np.testing.assert_allclose(grid_lo, lo, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grid_hi, hi, rtol=0, atol=1e-12)
-        # the kernel keeps the first extreme of the per-plane values
-        got = kernels.scan_grid(mp, gp, n_theta, n_phi)
+        # the reference keeps the first extreme of the per-plane values
+        got = brute_force.grid_bounds(mp, gp, n_theta, n_phi)
         want = (grid_lo.min(), int(grid_lo.argmin()), grid_hi.max(), int(grid_hi.argmax()), len(a) * n_phi)
         assert got == want
-
-
-def _whole_grid_scan(mp, gp, n_theta, n_phi):
-    """scan_grid's result from one whole-array evaluation of the polar grid:
-    the reference for the blocked kernel."""
-    a, b = kernels.polar_grid(n_theta, n_phi)
-    lo, hi = kernels.plane_bounds(
-        *kernels.reduce_planes(mp, gp, np.sin(a)[:, None], np.cos(a)[:, None], np.cos(b), np.sin(b))
-    )
-    return float(lo.min()), int(lo.argmin()), float(hi.max()), int(hi.argmax()), lo.size
-
-
-# grids of several shapes, one after another; the n_phi of (3, 20000) is
-# above SCAN_BLOCK, so each of its blocks is one row, wider than SCAN_BLOCK
-_INTERLEAVED = [(180, 360), (7, 11), (181, 360), (3, 20000), (90, 180), (180, 360)]
-
-
-@pytest.mark.parametrize("block", ["shipped", "13"])
-def test_scan_grid_equals_a_whole_array_reference_bit_for_bit(monkeypatch, block):
-    if block == "13":
-        monkeypatch.setattr(kernels, "SCAN_BLOCK", 13)
-    for seed in range(3):
-        _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
-        _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
-        mp, gp = mp.tolist(), gp.tolist()
-        for resolution in _INTERLEAVED:
-            assert kernels.scan_grid(mp, gp, *resolution) == _whole_grid_scan(mp, gp, *resolution), resolution
-
-
-def test_warm_scan_grid_takes_almost_no_page_faults():
-    # blocks of 16K planes as fresh arrays took 316 minor faults a call,
-    # from crossing glibc's 128 KB mmap threshold; the workspace takes none
-    resource = pytest.importorskip("resource")
-    _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(4))
-    _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
-    mp, gp = mp.tolist(), gp.tolist()
-    kernels.scan_grid(mp, gp, 180, 360)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(20):
-        kernels.scan_grid(mp, gp, 180, 360)
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert (after - before) / 20 < 5
 
 
 def test_warm_scans_take_almost_no_page_faults_in_a_fresh_process():
     # the fault count of a call depends on what the process allocated and
     # freed before, so it is measured where nothing else ran. Blocks of
-    # 16,384 planes took about 450 faults a scan_grid call and 1,200 a
-    # scan_bounds call here, and blocks of 4,096 up to 35 a scan_bounds
-    # call, depending on the environment
+    # 16,384 planes took about 1,200 faults a scan_bounds call here, and
+    # blocks of 4,096 up to 35, depending on the environment
     pytest.importorskip("resource")
     code = """if True:
         import resource, numpy as np
@@ -356,49 +316,44 @@ def test_warm_scans_take_almost_no_page_faults_in_a_fresh_process():
 
         _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(4))
         minv = ell.inverse_shape_matrix()
-        q, mp, gp = kernels.contact_frame(minv, ell.centre, rep.point)
-        mp, gp = mp.tolist(), gp.tolist()
-        a, b = kernels.polar_grid(180, 360)
+        q = kernels.contact_frame(minv, ell.centre, rep.point)[0]
+        a = (np.arange(90) + 0.5) * np.pi / 180
+        b = np.arange(360) * 2.0 * np.pi / 360
         sin_a = np.sin(a)[:, None]
         x, y, d = np.broadcast_arrays(sin_a * np.cos(b), sin_a * np.sin(b), np.cos(a)[:, None])
         normals = np.stack([x, y, d], axis=-1).reshape(-1, 3) @ q
         assert len(normals) == 32400
-        for scan in (
-            lambda: kernels.scan_grid(mp, gp, 180, 360),
-            lambda: kernels.scan_bounds(minv, ell.centre, rep.point, normals),
-        ):
-            scan()
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(20):
-                scan()
-            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+        kernels.scan_bounds(minv, ell.centre, rep.point, normals)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            kernels.scan_bounds(minv, ell.centre, rep.point, normals)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    grid, normals = map(float, out.stdout.split())
-    assert grid < 5 and normals < 5, (grid, normals)
+    assert float(out.stdout) < 5, out.stdout
 
 
 def test_concurrent_scans_keep_their_own_workspace():
-    # a workspace shared between threads would let one scan overwrite the
-    # blocks of another while numpy runs with the GIL released, or while
-    # the other thread holds it between two array passes
+    # each scan_bounds call writes its own output arrays: a buffer shared
+    # between threads would let one scan overwrite the blocks of another
+    # while numpy runs with the GIL released, or while the other thread
+    # holds it between two array passes
     import sys
     import threading
 
     jobs = []
-    for seed, resolution in ((0, (180, 360)), (1, (90, 180))):
-        _state, ell, rep = sampling.random_tangent_state(np.random.default_rng(seed))
-        _, mp, gp = kernels.contact_frame(ell.inverse_shape_matrix(), ell.centre, rep.point)
-        jobs.append((mp.tolist(), gp.tolist(), *resolution))
-    serial = [kernels.scan_grid(*job) for job in jobs]
+    for seed, n in ((0, 3 * kernels.SCAN_BLOCK + 5), (1, kernels.SCAN_BLOCK - 1)):
+        ell, p = sampling.random_tangent_ellipsoid(np.random.default_rng(seed))
+        jobs.append((ell.inverse_shape_matrix(), ell.centre, p, _normals_around_block_edges(p, n, kernels.SCAN_BLOCK)))
+    serial = [[x.tolist() for x in kernels.scan_bounds(*job)] for job in jobs]
     results = [[], []]
     start = threading.Barrier(2)
 
     def run(i):
         start.wait()
         for _ in range(50):
-            results[i].append(kernels.scan_grid(*jobs[i]))
+            results[i].append([x.tolist() for x in kernels.scan_bounds(*jobs[i])])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
