@@ -17,10 +17,10 @@ p > p_max is sufficient and p > p_min necessary for steerability.
 
 A chord's threshold depends on the plane through it only through v^T M' v,
 v the plane's axis in the tangent plane at p, which ranges over the two
-eigenvalues of M''s tangent block. So both bounds, over every plane through
-p (`_ellipsoid_bounds`) and over the pencil through b (`_chord_bounds`),
-are closed forms for every tangent ellipsoid, and no plane is scanned for
-them.
+eigenvalues of M''s tangent block. Both bounds are that threshold at those
+two values, for every tangent ellipsoid: at b's chord over the pencil
+through b (`_chord_bounds`), and at the ellipsoid's longest and shortest
+axes over every plane through p (`_ellipsoid_bounds`). No plane is scanned.
 
 Every verdict and bound here comes from the per-plane formulas of `kernels`:
 one plane's (alpha, beta, gamma) from its ellipse invariants
@@ -91,9 +91,11 @@ class LocusResult:
 class ProbBounds:
     """Bounds on the pure-state probability over every plane through p
     (mode "ellipsoid") or over the pencil of planes through p and b (mode
-    "pencil"), in closed form. The arg-normals are the normals of planes
-    that attain them; n_planes is 0 for the full sphere, which scans none,
-    and the count of valid pencil planes in pencil mode."""
+    "pencil"), in closed form: the thresholds of b's chord, or of the
+    longest and shortest principal axes, at the ellipsoid's principal radii
+    of curvature at p (`_ellipsoid_bounds`). The arg-normals are the normals
+    of planes that attain them; n_planes is 0 for the full sphere, which
+    scans none, and the count of valid pencil planes in pencil mode."""
 
     p_min: float
     p_max: float
@@ -108,21 +110,22 @@ class Analysis:
     """What `analyze` derives from one contact check and one pencil pass.
 
     The two bounds are computed the first time they are read, in closed
-    form on the contact frame and the pencil pass that `analyze` holds, so a
-    caller that reports one of them does not pay for the other.
+    form from what `analyze` holds, so a caller that reports one of them
+    does not pay for the other.
     """
 
     pure_state_probability: float
     locus: LocusResult
     thresholds: np.ndarray  # (n,) threshold of each pencil plane at b's chord slope, 0 where invalid
     valid: np.ndarray  # (n,) pencil planes where b's chord is valid
+    _ell: SteeringEllipsoid = field(repr=False)
     _frame: tuple = field(repr=False)  # (Q, M', g') of `_contact`
     _pass: _Pencil = field(repr=False)  # the `_pencil_pass`
 
     @cached_property
     def bounds(self) -> ProbBounds:
         """Full-sphere bounds, `_ellipsoid_bounds`."""
-        return _ellipsoid_bounds(*self._frame)
+        return _ellipsoid_bounds(self._ell, *self._frame)
 
     @cached_property
     def bounds_pencil(self) -> ProbBounds:
@@ -374,7 +377,7 @@ def p_bounds(
         b = require_finite(np.asarray(b, dtype=float), "b")
     q, mp, gp = _frame(ell, _contact(ell, p, b), p)
     if b is None:
-        return _ellipsoid_bounds(q, mp, gp)
+        return _ellipsoid_bounds(ell, q, mp, gp)
     pencil = _pencil_pass(q, mp, gp, p, b, max(resolution))
     _, valid = kernels.pencil_thresholds(pencil.planes)
     return _chord_bounds(q, mp, gp, pencil.frame[2], int(valid.sum()))
@@ -411,6 +414,7 @@ def analyze(ell: SteeringEllipsoid, b, *, p, n_planes: int) -> Analysis:
         locus=locus,
         thresholds=thresholds,
         valid=valid,
+        _ell=ell,
         _frame=(q, mp, gp),
         _pass=pencil,
     )
@@ -429,128 +433,76 @@ def _debug(message, *args):
         logging.getLogger("steerell").debug(message, *args)
 
 
-# A state's ellipsoid is isotropic at p (M'00 = M'11, M'01 = 0): rounding
-# splits the eigenvalues of M''s tangent block by at most 2.5e-14 of the
-# larger on 3,000 random tangent states. Below this split they count as
-# equal, and the full-sphere bounds take the 2x2 form.
-_EQUAL_TANGENT = 1e-12
-
-
 def _tangent_axes(mp):
     """(lam1, v1, lam2, v2): the eigenvalues lam1 <= lam2 of M''s tangent
     block [[M'00, M'01], [M'01, M'11]], mid -+ hypot, and their unit
-    eigenvectors as contact-frame 3-vectors."""
+    eigenvectors as contact-frame 3-tuples."""
     (m00, m01, _), (_, m11, _), _ = mp
     mid, rad = 0.5 * (m00 + m11), math.hypot(0.5 * (m00 - m11), m01)
     angle = 0.5 * math.atan2(2.0 * m01, m00 - m11)
     c, s = math.cos(angle), math.sin(angle)
-    return mid - rad, np.array([-s, c, 0.0]), mid + rad, np.array([c, s, 0.0])
+    return mid - rad, (-s, c, 0.0), mid + rad, (c, s, 0.0)
 
 
-def _plane_normal(q, v, w, other):
+def _plane_normal(q, v, w):
     """World-frame unit normal of span(v, w), the plane through p whose axis
     in the tangent plane is v and which holds the chord w (contact frame).
-    A w along v lies in every plane holding v; this is then span(v, p),
-    whose normal is the other tangent axis."""
+    A w in the tangent plane is no chord but the limit of the chords of
+    span(p, w), whose axis in the tangent plane is w itself: that plane is
+    taken instead."""
+    x, y, z = w
+    if abs(z) <= 1e-12 * math.sqrt(x * x + y * y + z * z):
+        v = (0.0, 0.0, 1.0)
     normal = kernels.cross3(v, w)
-    length = math.sqrt(normal @ normal)
-    if length <= 1e-12 * math.sqrt(w @ w):
-        return other @ q
-    return (normal / length) @ q
+    return (normal / math.sqrt(normal @ normal)) @ q
 
 
-def _definite_extreme(n, d, i):
-    """(value, w): the i-th generalized eigenvalue of (n, d), in ascending
-    order, and its eigenvector, from `eigh` of the symmetric standard form
-    L^-1 n L^-T, d = L L^T. Raises NotNested when d is not definite."""
-    try:
-        inv = np.linalg.inv(np.linalg.cholesky(d))
-    except np.linalg.LinAlgError:
-        raise NotNested("the ellipsoid leaves the ball: its chord pencil is not definite") from None
-    values, vectors = np.linalg.eigh(inv @ n @ inv.T)
-    return float(values[i]), inv.T @ vectors[:, i]
+def _chord_forms(mp, g, w):
+    """(A, B) = (w^T N w, w^T M' w) for the contact-frame chord w, a list of
+    floats, with N = M' - g I."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
+    x, y, z = w
+    cross = 2.0 * (m01 * x * y + m02 * x * z + m12 * y * z)
+    a = (m00 - g) * x * x + (m11 - g) * y * y + (m22 - g) * z * z + cross
+    return a, m00 * x * x + m11 * y * y + m22 * z * z + cross
 
 
-def _ellipsoid_bounds(q, mp, gp):
-    """Full-sphere bounds in closed form from the contact frame (Q, M', g')
-    of `_contact`, for every tangent ellipsoid.
+def _ellipsoid_bounds(ell: SteeringEllipsoid, q, mp, gp):
+    """Full-sphere bounds in closed form at ell's principal axes, from the
+    contact frame (Q, M', g') of `_contact`, for every tangent ellipsoid.
 
-    With g = g'2 and N = M' - g I, b's chord from p in direction w has, in
-    the plane through it whose axis in the tangent plane at p is the unit v,
-    the threshold (`kernels.pencil_threshold`; see the header of `kernels`)
-
-        t(w; V) = A / (A + (g / V) B),   A = w^T N w,   B = w^T M' w,
-
-    with V = v^T M' v. Every pair (v, w), w off the tangent plane, is a
-    plane through p, so over all planes V ranges over the eigenvalues
-    lam1 <= lam2 of M''s tangent block, and t increases with V: p_min is
-    the least generalized eigenvalue of (N, N + (g / lam1) M') and p_max
-    the greatest of (N, N + (g / lam2) M'). Nesting makes N positive
-    semidefinite, so both pencils are definite; an ellipsoid that leaves
-    the ball can make them indefinite, and raises NotNested.
-
-    Where lam1 = lam2 = m up to rounding (`_EQUAL_TANGENT`), as for every
-    state, the two pencils are one, (N, D) with D = (1 + kappa) M' - g I and
-    kappa = g / m. The tangent direction e_perp orthogonal to (M'02, M'12)
-    is an eigenvector of both N and D, with eigenvalue 1 - kappa. On the
-    span of e_par = (M'02, M'12) / h and p, h = |(M'02, M'12)|, the pencil
-    (N2, D2) in standard form is S = L^-1 N2 L^-T with D2 = L L^T, and
-    1 - kappa is S's first diagonal entry, so it lies between S's
-    eigenvalues: they are the bounds, mid -+ hypot((S00 - S11) / 2, S01), a
-    discriminant with no cancellation. The roots of det(N2 - lambda D2) = 0
-    by the quadratic formula lost half their digits at the double root of a
-    sphere (8.6e-9 at r = 0.4), and a cubic formula has the same loss, so
-    otherwise each 3x3 pencil goes to `eigh` in standard form
-    (`_definite_extreme`). When h = 0, one bound is 1 - kappa: the limit of
-    the threshold as the chord tends to e_par, a tangent direction.
-
-    p_min is clamped at 0, as in `p_bounds`, and p_max at p_min: the
-    attaining chord of p_min has t(w; lam2) >= p_min, so only rounding
-    could order them the other way. No plane is scanned, so n_planes is 0.
-    argmin_normal and argmax_normal are the world-frame normals of the
-    planes span(v_i, w*) that attain them (`_plane_normal`); in the 2x2
-    form both attaining chords lie in the span of e_par and p, whose normal
-    is e_perp, and e_par is Q's first axis when h = 0.
+    With g = g'2 and N = M' - g I, the chord w has the threshold
+    t(w; rho) = A / (A + rho B), A = w^T N w and B = w^T M' w, in a plane
+    whose axis v in the tangent plane at p gives ell's principal radius of
+    curvature rho = g / v^T M' v (header of `kernels`). rho spans
+    [g / lam2, g / lam1], lam1 <= lam2 the eigenvalues of M''s tangent
+    block, and t falls as rho grows. With h = 1 / g = 1 - p . c:
+      - N and M' share ell's principal axes, where A / B = 1 - a^2 / h;
+      - so the extremes of t(w; rho) over w lie there, rising as a falls;
+      - so p_min = t(w1; g / lam1) at the longest axis w1, and
+        p_max = t(w3; g / lam2) at the shortest axis w3.
+    A sphere of radius r gives 1 - r for both. A and B are taken on M' and
+    g', so that a rounding of ell's scale divides out. An ellipsoid leaving
+    the ball can make the pencil (N, N + (g / lam2) M') indefinite,
+    A1 + (g / lam2) B1 <= 0, and raises NotNested. p_min is clamped at 0
+    and p_max at p_min; n_planes is 0, and the arg-normals are those of
+    span(v1, w1) and span(v2, w3) (`_plane_normal`).
     """
     lam1, v1, lam2, v2 = _tangent_axes(mp)
     g = gp[2]
-    if lam2 - lam1 <= _EQUAL_TANGENT * lam2:
-        branch = "2x2"
-        (m00, _, m02), (_, m11, m12), (_, _, m22) = mp
-        m = 0.5 * (m00 + m11)
-        kappa = g / m
-        h = math.hypot(m02, m12)
-        # N2 and D2 on (e_par, p); D2's first entry (1 + kappa) m - g is m
-        n00, n01, n11 = m - g, h, m22 - g
-        d00, d01, d11 = m, (1.0 + kappa) * h, (1.0 + kappa) * m22 - g
-        det_d = d00 * d11 - d01 * d01
-        if not det_d > 0.0:
-            raise NotNested("the ellipsoid leaves the ball: its chord pencil is not definite")
-        # S = L^-1 N2 L^-T for the Cholesky factor L of D2; r = L10 / L00
-        r = d01 / d00
-        s00 = n00 / d00
-        s01 = (n01 - r * n00) / math.sqrt(det_d)
-        s11 = (n11 - r * (2.0 * n01 - r * n00)) * d00 / det_d
-        mid, rad = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), s01)
-        p_min, p_max = mid - rad, mid + rad
-        cos_p, sin_p = (m02 / h, m12 / h) if h > 0.0 else (1.0, 0.0)
-        arg_min = cos_p * q[1] - sin_p * q[0]
-        arg_max = arg_min.copy()
-    else:
-        branch = "3x3"
-        m = np.array(mp)
-        n = m - g * np.eye(3)
-        p_min, w_min = _definite_extreme(n, n + (g / lam1) * m, 0)
-        p_max, w_max = _definite_extreme(n, n + (g / lam2) * m, -1)
-        arg_min, arg_max = _plane_normal(q, v1, w_min, v2), _plane_normal(q, v2, w_max, v1)
-    _debug("full-sphere bounds in closed form (%s): lambda1/g %.17g, lambda2/g %.17g", branch, lam1 / g, lam2 / g)
-    p_min = max(p_min, 0.0)
+    w1, _, w3 = (ell.axes.T @ q.T).tolist()
+    a1, b1 = _chord_forms(mp, g, w1)
+    a3, b3 = _chord_forms(mp, g, w3)
+    if not a1 + (g / lam2) * b1 > 0.0:
+        raise NotNested("the ellipsoid leaves the ball: its chord pencil is not definite")
+    _debug("full-sphere bounds in closed form: lambda1/g %.17g, lambda2/g %.17g", lam1 / g, lam2 / g)
+    p_min = max(a1 / (a1 + (g / lam1) * b1), 0.0)
     return ProbBounds(
-        p_min=float(p_min),
-        p_max=float(max(p_max, p_min)),
+        p_min=p_min,
+        p_max=max(a3 / (a3 + (g / lam2) * b3), p_min),
         mode="ellipsoid",
-        argmin_normal=arg_min,
-        argmax_normal=arg_max,
+        argmin_normal=_plane_normal(q, v1, w1),
+        argmax_normal=_plane_normal(q, v2, w3),
         n_planes=0,
     )
 
@@ -558,31 +510,26 @@ def _ellipsoid_bounds(q, mp, gp):
 def _chord_bounds(q, mp, gp, w, n_planes):
     """Pencil bounds in closed form at b's chord w = Q (b - p), a list of
     contact-frame floats, from the contact frame (Q, M', g') of `_contact`:
-    t(w; lam1) and t(w; lam2) of `_ellipsoid_bounds`.
+    t(w; g / lam1) and t(w; g / lam2) of `_ellipsoid_bounds`.
 
     The planes through p and b are span(v, w), one for every unit tangent
-    v, so V = v^T M' v ranges over [lam1, lam2] and t(w; V) increases with
-    it. A = w^T N w is clamped at 0 first: nesting makes it nonnegative,
-    and a rounding-negative A would reverse the order of the two values.
-    With A >= 0 and lam1 <= lam2, t(w; lam1) <= t(w; lam2) holds in
-    floating point too, as every step is monotone. n_planes is the caller's
-    count of valid pencil planes; argmin_normal and argmax_normal are the
-    normals of span(v1, w) and span(v2, w).
+    v, so they take every rho in [g / lam2, g / lam1]. A = w^T N w is
+    clamped at 0 first: nesting makes it nonnegative, and a rounding-negative
+    A would reverse the order of the two values; with A >= 0, every step is
+    monotone, so they stay ordered in floating point. n_planes is the
+    caller's count of valid pencil planes; argmin_normal and argmax_normal
+    are the normals of span(v1, w) and span(v2, w).
     """
     lam1, v1, lam2, v2 = _tangent_axes(mp)
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = mp
     g = gp[2]
-    x, y, z = w
-    cross = 2.0 * (m01 * x * y + m02 * x * z + m12 * y * z)
-    a = max((m00 - g) * x * x + (m11 - g) * y * y + (m22 - g) * z * z + cross, 0.0)
-    b = m00 * x * x + m11 * y * y + m22 * z * z + cross
+    a, b = _chord_forms(mp, g, w)
+    a = max(a, 0.0)
     _debug("pencil bounds in closed form: lambda1/g %.17g, lambda2/g %.17g", lam1 / g, lam2 / g)
-    w = np.array(w)
     return ProbBounds(
         p_min=a / (a + (g / lam1) * b),
         p_max=a / (a + (g / lam2) * b),
         mode="pencil",
-        argmin_normal=_plane_normal(q, v1, w, v2),
-        argmax_normal=_plane_normal(q, v2, w, v1),
+        argmin_normal=_plane_normal(q, v1, w),
+        argmax_normal=_plane_normal(q, v2, w),
         n_planes=n_planes,
     )

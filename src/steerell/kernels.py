@@ -11,8 +11,9 @@ The reduction also says how the plane matters: along a chord, the threshold
 depends on the plane only through v^T M' v, with v the plane's axis in the
 tangent plane at p (see the header of the reduction below), and v^T M' v
 ranges over the two eigenvalues of M''s tangent block. `criteria` takes
-both its bounds, over every plane through p and over the pencil through b,
-in closed form from that, and scans no plane for them.
+both its bounds in closed form from that, over the pencil through b at b's
+chord and over every plane through p at the ellipsoid's longest and
+shortest principal axes, and scans no plane for them.
 
   ellipse_invariants
                     (m, n, delta) of a section ellipse -> (mu, nu, xi, g),

@@ -200,16 +200,13 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
     # point four times an analyze and three times a sweep row, and an
     # X-state row reduced its pencil twice; a row now reads only the bound
     # it reports, so an X-state row takes no full-sphere bounds. Both bounds
-    # are closed forms, so no plane is scanned, and a state's ellipsoid is
-    # isotropic at p, so its full-sphere bounds take the 2x2 form, with no
-    # 3x3 pencil
+    # are closed forms, so no plane is scanned
     names = (
         (criteria, "check_on_both_surfaces"),
         (kernels, "contact_frame"),
         (kernels, "pencil_planes"),
         (criteria, "_ellipsoid_bounds"),
         (criteria, "_chord_bounds"),
-        (criteria, "_definite_extreme"),
         (kernels, "scan_bounds"),
     )
     calls = dict.fromkeys((name for _, name in names), 0)
@@ -232,7 +229,6 @@ def test_analyze_checks_the_contact_once(capsys, monkeypatch, obese_file):
             "pencil_planes": 1,
             "_ellipsoid_bounds": full,
             "_chord_bounds": pencil,
-            "_definite_extreme": 0,
             "scan_bounds": 0,
         }
         assert calls == expected, argv

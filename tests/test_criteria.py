@@ -38,6 +38,7 @@ from steerell import (
     sampling,
     spheroid_geometry,
     spheroid_p_bounds,
+    state_from_pauli,
     steerable_in_plane,
     steering_ellipsoid,
     tangency,
@@ -701,7 +702,7 @@ def _bounds_fields(bounds):
 
 def _closed_form_bounds(ell, p):
     """`criteria._ellipsoid_bounds` on the contact frame of ell at p."""
-    return criteria._ellipsoid_bounds(*criteria._frame(ell, criteria._contact(ell, p, None), p))
+    return criteria._ellipsoid_bounds(ell, *criteria._frame(ell, criteria._contact(ell, p, None), p))
 
 
 @pytest.mark.parametrize("n_planes", [180, 7])
@@ -830,13 +831,33 @@ def test_closed_form_bounds_match_the_density_matrix_form():
         assert closed.p_max == pytest.approx(hi, abs=1e-11)
 
 
+def _rotation(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.linalg.det(q))
+
+
 def test_closed_form_bounds_of_the_closed_form_families():
     # a sphere's pencil has a double root: the quadratic formula's
     # discriminant cancelled there and left r = 0.4 of the default sweep grid
     # 8.6e-9 off 1 - r
+    rng = np.random.default_rng(17)
     for r in (*np.linspace(0.05, 0.95, 19), 0.3, 0.4, 0.5):
         out = _closed_form_bounds(steering_ellipsoid(tangent_sphere_state(r)), P_TOP)
         assert (out.p_min, out.p_max) == pytest.approx((1.0 - r, 1.0 - r), abs=1e-14)
+        # the paper's sphere claim, p_min = p_max = 1 - r, wherever the
+        # sphere touches: turned by local rotations of a state, and from
+        # geometry. A rotated sphere's centre, semiaxes and M' carry a few
+        # 1e-16 of rounding of their own: over 1,100 draws of each, the
+        # bounds came within 1.7e-15 of 1 - r from states and 1.1e-15 from
+        # geometry
+        state = tangent_sphere_state(r)
+        ra, rb = _rotation(rng), _rotation(rng)
+        ell = steering_ellipsoid(state_from_pauli(ra @ state.a, rb @ state.b, ra @ state.T @ rb.T))
+        p = sampling.random_unit_vector(rng)
+        rotated = (ell, tangency(ell).point), (ellipsoid_from_geometry((1.0 - r) * p, [r, r, r], _rotation(rng)), p)
+        for ell, p in rotated:
+            out = _closed_form_bounds(ell, p)
+            assert (out.p_min, out.p_max) == pytest.approx((1.0 - r, 1.0 - r), abs=2e-15)
     # the obese states have rank 2, where the density-matrix form fails
     for c in (*np.linspace(0.0, 0.99, 100), 0.01, 0.5):
         out = _closed_form_bounds(steering_ellipsoid(obese_state(c)), P_TOP)
@@ -846,6 +867,8 @@ def test_closed_form_bounds_of_the_closed_form_families():
     for m, n in (*spheroids, (0.6, 0.5), (0.3, 0.5), (0.5, 0.4), (0.4, 0.4), (0.2, 0.4472)):
         out = _closed_form_bounds(steering_ellipsoid(tangent_spheroid_state(m, n)), P_TOP)
         assert (out.p_min, out.p_max) == pytest.approx(spheroid_p_bounds(m, n), abs=1e-14)
+        # a spheroid that is not a sphere has a gap between its bounds
+        assert out.p_min < out.p_max or m == n
     # a physical X state (t_y = -t_x) has the spheroid (n, n, m) of
     # `x_semiaxes`; the X closed form is the threshold of b's axial chord,
     # one end of the interval
@@ -923,6 +946,29 @@ def _osculating_ellipsoid(rng, eps):
     return ellipsoid_from_geometry((1.0 - depth) * p, semiaxes, np.array([u, np.cross(p, u), p]).T), p, u
 
 
+@functools.lru_cache(maxsize=1)
+def _abstract_cases():
+    """(ell, b, p) of 200 seeded tangent ellipsoids and 400 osculating ones,
+    the latter each with a random b and with a b on a chord next to the
+    osculating direction."""
+    cases = []
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        ell, p = sampling.random_tangent_ellipsoid(rng)
+        cases.append((ell, sampling.random_interior_point(rng, ell), p))
+    for i in range(400):
+        ell, p, u = _osculating_ellipsoid(rng, (-1e-10, 0.0, 1e-15, 1e-12, 1e-9)[i % 5])
+        cases.append((ell, sampling.random_interior_point(rng, ell), p))
+        # b halfway along a chord 2e-6 to 1e-5 rad off the osculating
+        # direction u, where w^T N w is within rounding of 0 or below it
+        angle = rng.uniform(2e-6, 1e-5)
+        w = math.cos(angle) * u - math.sin(angle) * p
+        minv = ell.inverse_shape_matrix()
+        length = -2.0 * (w @ minv @ (p - ell.centre)) / (w @ minv @ w)
+        cases.append((ell, p + 0.5 * length * w, p))
+    return cases
+
+
 def test_bounds_are_ordered_in_floating_point():
     # 0 <= p_min <= p_max exactly, in both modes. A state's two tangent
     # eigenvalues agree up to rounding, so its pencil bounds do too, and an
@@ -945,28 +991,50 @@ def test_bounds_are_ordered_in_floating_point():
                 check(steering_ellipsoid(state), state.b, P_TOP)
                 rows += 1
     assert rows >= 200
-    rng = np.random.default_rng(32)
-    for _ in range(200):
-        ell, p = sampling.random_tangent_ellipsoid(rng)
-        check(ell, sampling.random_interior_point(rng, ell), p)
-    for i in range(400):
-        ell, p, u = _osculating_ellipsoid(rng, (-1e-10, 0.0, 1e-15, 1e-12, 1e-9)[i % 5])
-        check(ell, sampling.random_interior_point(rng, ell), p)
-        # b halfway along a chord 2e-6 to 1e-5 rad off the osculating
-        # direction u, where w^T N w is within rounding of 0 or below it
-        angle = rng.uniform(2e-6, 1e-5)
-        w = math.cos(angle) * u - math.sin(angle) * p
-        minv = ell.inverse_shape_matrix()
-        length = -2.0 * (w @ minv @ (p - ell.centre)) / (w @ minv @ w)
-        check(ell, p + 0.5 * length * w, p)
+    for ell, b, p in _abstract_cases():
+        check(ell, b, p)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_cases():
+    """(ell, p) of 1,000 seeded tangent states, 1,000 seeded tangent
+    ellipsoids and each ellipsoid of `_abstract_cases`, osculating ones
+    included."""
+    cases = [(ell, rep.point) for _state, ell, rep in _rank3_draws(42, 1000)]
+    rng = np.random.default_rng(43)
+    cases += [sampling.random_tangent_ellipsoid(rng) for _ in range(1000)]
+    abstract = _abstract_cases()
+    return cases + [(ell, p) for ell, _b, p in abstract[:200] + abstract[200::2]]
+
+
+def test_closed_form_bounds_match_the_standard_form_eigh():
+    # the closed form against numpy's eigh of the two 3x3 chord pencils in
+    # standard form. p_min is clamped at 0, where an osculating ellipsoid
+    # puts the least eigenvalue within rounding of 0 or below it
+    for ell, p in _reference_cases():
+        closed = _closed_form_bounds(ell, p)
+        lo, hi = brute_force.eigh_bounds(ell, p)
+        assert abs(closed.p_min - max(lo, 0.0)) <= 1e-12
+        assert abs(closed.p_max - hi) <= 1e-12
+
+
+def test_closed_form_bounds_match_a_50_digit_reference():
+    # the same eigenvalues in 50-digit decimal arithmetic on the same double
+    # M' and g', through no numpy linear algebra
+    for ell, p in _reference_cases():
+        closed = _closed_form_bounds(ell, p)
+        lo, hi = brute_force.decimal_bounds(ell, p)
+        assert abs(closed.p_min - max(float(lo), 0.0)) <= 1e-12
+        assert abs(closed.p_max - float(hi)) <= 1e-12
 
 
 def test_an_ellipsoid_leaving_the_ball_has_no_closed_form():
     # semiaxis 1.8 along p: the ellipsoid passes the contact check at p, as
     # it is curved more than the sphere there, but pokes out of the ball at
-    # its far end. Its chord pencil (N, N + (g / lam) M') is indefinite, in
-    # the 2x2 form and in the 3x3 one, so it has no bounds; the pencil
-    # bounds at a b need no definite pencil
+    # its far end. Its chord pencil (N, N + (g / lam2) M') is indefinite:
+    # along that longest axis w^T N w / w^T M' w = 1 - a^2 / h = -0.8 falls
+    # below -g / lam2, whether the ellipsoid is isotropic at p or not, so it
+    # has no bounds; the pencil bounds at a b need no definite pencil
     for semiaxes in ([0.5, 0.5, 1.8], [0.5, 0.4, 1.8]):
         ell = ellipsoid_from_geometry([0.0, 0.0, -0.8], semiaxes)
         with pytest.raises(NotNested, match="leaves the ball"):
@@ -976,9 +1044,9 @@ def test_an_ellipsoid_leaving_the_ball_has_no_closed_form():
 
 
 def test_full_sphere_path_is_logged_not_printed(caplog, capsys):
-    # one record per closed form: the tangent eigenvalues over g, and for
-    # the full sphere the branch, the 2x2 form where they are equal, as for
-    # a state, and eigh of the 3x3 pencil otherwise
+    # one record per closed form: the tangent eigenvalues over g. The full
+    # sphere has one form, so its record names no branch, whether the
+    # eigenvalues are equal, as for a state, or not
     state, ell, rep = sampling.random_tangent_state(np.random.default_rng(0))
     abstract, p = sampling.random_tangent_ellipsoid(np.random.default_rng(0))
     b = sampling.random_interior_point(np.random.default_rng(1), abstract)
@@ -989,12 +1057,12 @@ def test_full_sphere_path_is_logged_not_printed(caplog, capsys):
     messages = [record.getMessage() for record in caplog.records if record.name == "steerell"]
     assert len(messages) == 3
     number = r"(\S+)"
-    full = r"full-sphere bounds in closed form \((2x2|3x3)\): lambda1/g {0}, lambda2/g {0}".format(number)
+    full = r"full-sphere bounds in closed form: lambda1/g {0}, lambda2/g {0}".format(number)
     pencil = r"pencil bounds in closed form: lambda1/g {0}, lambda2/g {0}".format(number)
-    branch, lam1, lam2 = re.fullmatch(full, messages[0]).groups()
-    assert branch == "2x2" and float(lam1) >= 1.0 - 1e-9 and float(lam2) - float(lam1) <= 1e-12 * float(lam2)
-    branch, lam1, lam2 = re.fullmatch(full, messages[1]).groups()
-    assert branch == "3x3" and float(lam2) - float(lam1) > 1e-2 * float(lam2)
+    lam1, lam2 = re.fullmatch(full, messages[0]).groups()
+    assert float(lam1) >= 1.0 - 1e-9 and float(lam2) - float(lam1) <= 1e-12 * float(lam2)
+    lam1, lam2 = re.fullmatch(full, messages[1]).groups()
+    assert float(lam2) - float(lam1) > 1e-2 * float(lam2)
     assert re.fullmatch(pencil, messages[2]).groups() == (lam1, lam2)
     assert capsys.readouterr() == ("", "")
 
